@@ -15,13 +15,11 @@
 #![forbid(unsafe_code)]
 
 use gather_check::{
-    run_check, state_diagram, CheckMatrix, CheckReport, CheckSpec, Counterexample, GatherMachine,
-    Verdict,
+    run_check, state_diagram, with_robots, CheckMatrix, CheckReport, CheckSpec, Counterexample,
+    GatherMachine, RobotJob, Verdict,
 };
-use gather_core::GatherConfig;
-use gather_core::{ExpandingRobot, FasterRobot, UndispersedRobot, UxsGatherRobot};
-use gather_graph::NodeId;
-use gather_uxs::Uxs;
+use gather_core::BuiltinRobot;
+use gather_graph::{NodeId, PortGraph};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -250,8 +248,7 @@ fn handle_report(
     Ok(matched)
 }
 
-/// Builds the projected state diagram for a spec (same dispatch as checking,
-/// written out because the machine type is generic in the robot).
+/// Builds the projected state diagram for a spec.
 fn diagram_for(spec: &CheckSpec) -> Result<String, String> {
     let scenario = spec.scenario();
     let graph = spec
@@ -265,48 +262,46 @@ fn diagram_for(spec: &CheckSpec) -> Result<String, String> {
     if !spec.faults.is_empty() {
         return Err("state diagrams of faulty specs are not supported; drop `faults`".to_string());
     }
-    let n = graph.n();
-    let config: &GatherConfig = &spec.algorithm.config;
     let name = format!(
         "{}_{:?}{}",
         spec.algorithm.name.replace('-', "_"),
         spec.graph.family,
-        n
+        graph.n()
     );
-    macro_rules! draw {
-        ($robot:ty, $make:expr) => {{
-            let robots: Vec<($robot, NodeId)> = placement
-                .robots
-                .iter()
-                .map(|&(id, node)| ($make(id), node))
-                .collect();
-            let machine = GatherMachine::new(&graph, robots, spec.scheduler);
-            let d = state_diagram(
-                &machine,
-                spec.limits(),
-                gather_check::project_sim_state,
-                |s| s.all_terminated(),
-            );
-            Ok(d.to_dot(&name))
-        }};
-    }
-    match spec.algorithm.name.as_str() {
-        "faster_gathering" => draw!(FasterRobot, |id| FasterRobot::new(id, n, config)),
-        "uxs_gathering" => {
-            let uxs = Uxs::shared_for_n(n, config.uxs_policy);
-            draw!(UxsGatherRobot, |id| UxsGatherRobot::with_sequence(
-                id,
-                uxs.clone()
-            ))
-        }
-        "undispersed_gathering" => {
-            draw!(UndispersedRobot, |id| UndispersedRobot::new(id, n, config))
-        }
-        "expanding_baseline" => draw!(ExpandingRobot, |id| ExpandingRobot::new(id, n)),
-        gather_check::BROKEN_EAGER => {
-            draw!(gather_check::BrokenEager, gather_check::BrokenEager::new)
-        }
-        other => Err(format!("unknown algorithm `{other}`")),
+    let job = Draw {
+        graph: &graph,
+        spec,
+        name,
+    };
+    with_robots(
+        &spec.algorithm.name,
+        &graph,
+        &placement,
+        &spec.algorithm.config,
+        job,
+    )
+    .map_err(|e| e.to_string())
+}
+
+/// Explores one concrete robot type and renders its state diagram as DOT.
+struct Draw<'a> {
+    graph: &'a PortGraph,
+    spec: &'a CheckSpec,
+    name: String,
+}
+
+impl RobotJob for Draw<'_> {
+    type Output = String;
+
+    fn run<R: BuiltinRobot>(self, robots: Vec<(R, NodeId)>) -> String {
+        let machine = GatherMachine::new(self.graph, robots, self.spec.scheduler);
+        let d = state_diagram(
+            &machine,
+            self.spec.limits(),
+            gather_check::project_sim_state,
+            |s| s.all_terminated(),
+        );
+        d.to_dot(&self.name)
     }
 }
 

@@ -8,7 +8,10 @@
 //! [`crate::predicates::Violation::EarlyTermination`] at depth 1, making
 //! this the standard fixture for replay tests and CI artifact plumbing.
 
-use gather_sim::{Action, Inbox, Observation, Robot, RobotId};
+use crate::spec::BROKEN_EAGER;
+use gather_core::{BuiltinRobot, GatherConfig};
+use gather_graph::{NodeId, PortGraph};
+use gather_sim::{Action, Inbox, Observation, Placement, Robot, RobotId};
 
 /// A robot that terminates as soon as it is not alone. Unsound for `k > 2`.
 #[derive(Debug, Clone, Hash)]
@@ -50,11 +53,29 @@ impl Robot for BrokenEager {
     }
 }
 
+impl BuiltinRobot for BrokenEager {
+    const NAME: &'static str = BROKEN_EAGER;
+    const DESCRIPTION: &'static str =
+        "terminates as soon as it is not alone (deliberately unsound)";
+
+    fn robots(
+        _graph: &PortGraph,
+        placement: &Placement,
+        _config: &GatherConfig,
+    ) -> Vec<(Self, NodeId)> {
+        placement
+            .robots
+            .iter()
+            .map(|&(id, node)| (BrokenEager::new(id), node))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gather_graph::generators;
-    use gather_sim::{transition, Activation, SimState};
+    use gather_sim::{transition, Activation, SimState, StepBuffers};
 
     #[test]
     fn terminates_wrongly_when_paired_but_not_gathered() {
@@ -67,7 +88,8 @@ mod tests {
                 (BrokenEager::new(3), 3),
             ],
         );
-        let s1 = transition(&g, &s0, Activation::All);
+        let mut bufs = StepBuffers::new(g.n(), &s0);
+        let s1 = transition(&g, &s0, Activation::All, None, &mut bufs);
         assert_eq!(s1.terminated, vec![true, true, false]);
         assert!(!s1.gathered());
     }

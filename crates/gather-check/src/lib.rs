@@ -52,8 +52,8 @@ pub use diagram::{project_sim_state, state_diagram, NodeProjection, StateDiagram
 pub use machine::{GatherMachine, Machine};
 pub use predicates::{PredicateCtx, Violation};
 pub use spec::{
-    run_check, suggested_round_bound, CheckError, CheckMatrix, CheckReport, CheckSpec, Verdict,
-    BROKEN_EAGER,
+    run_check, suggested_round_bound, with_robots, CheckError, CheckMatrix, CheckReport, CheckSpec,
+    RobotJob, Verdict, BROKEN_EAGER,
 };
 pub use trace::{Counterexample, ReplayError};
 pub use traverse::{traverse, StateClass, TraverseLimits, TraverseOutcome, TraverseStats};

@@ -10,27 +10,24 @@
 //! state, and returns a [`CheckReport`] with a [`Counterexample`] on
 //! failure.
 
+use crate::broken::BrokenEager;
 use crate::machine::GatherMachine;
 use crate::predicates::{PredicateCtx, Violation};
 use crate::trace::Counterexample;
 use crate::traverse::{traverse, TraverseLimits, TraverseOutcome, TraverseStats};
+use gather_core::registry::{self, visit_builtins, BuiltinRobot, BuiltinVisitor};
 use gather_core::schedule::{
     faster_step_start, hop_meeting_rounds, undispersed_total_rounds, uxs_gathering_round_bound,
 };
 use gather_core::{
-    AlgorithmSpec, ExpandingRobot, FasterRobot, GatherConfig, GraphSpec, PlacementSpec,
-    ScenarioError, ScenarioSpec, UndispersedRobot, UxsGatherRobot,
+    AlgorithmSpec, GatherConfig, GraphSpec, PlacementSpec, ScenarioError, ScenarioSpec,
 };
 use gather_graph::{GraphError, NodeId, PortGraph};
-use gather_sim::robot::Robot;
-use gather_sim::{Activation, EngineFaults, FaultError, FaultPlan, Scheduler};
-use gather_uxs::Uxs;
+use gather_sim::{Activation, EngineFaults, FaultError, FaultPlan, Placement, Scheduler};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::hash::Hash;
 
-/// The name under which the deliberately unsound
-/// [`BrokenEager`](crate::broken::BrokenEager) robot is
+/// The name under which the deliberately unsound [`BrokenEager`] robot is
 /// dispatched. Not part of the simulator's algorithm registry: it exists
 /// only so checker failures (and their artifacts) can be exercised end to
 /// end.
@@ -61,7 +58,7 @@ pub struct CheckSpec {
     pub max_states: Option<u64>,
     /// Faults to inject while checking (missing field: fault-free). Only
     /// *crash* plans are checkable — Byzantine strategies make the engine
-    /// step impure (see [`gather_sim::transition_faulty`]) and are rejected
+    /// step impure (see [`gather_sim::transition`]) and are rejected
     /// with [`CheckError::Byzantine`]. Under crash faults the terminal and
     /// liveness predicates are scoped to the survivors; the no-early-
     /// termination safety predicate stays global, so a builtin whose
@@ -203,7 +200,7 @@ pub enum CheckError {
     Faults(FaultError),
     /// The fault plan contains a Byzantine fault, which the checker cannot
     /// soundly explore (the step stops being pure; see
-    /// [`gather_sim::transition_faulty`]).
+    /// [`gather_sim::transition`]).
     Byzantine,
 }
 
@@ -212,8 +209,8 @@ impl fmt::Display for CheckError {
         match self {
             CheckError::UnknownAlgorithm(name) => write!(
                 f,
-                "unknown algorithm `{name}` (checkable: faster_gathering, uxs_gathering, \
-                 undispersed_gathering, expanding_baseline, {BROKEN_EAGER})"
+                "unknown algorithm `{name}` (checkable: {}, {BROKEN_EAGER})",
+                registry::global().names().join(", ")
             ),
             CheckError::Graph(e) => write!(f, "graph instantiation failed: {e}"),
             CheckError::Scenario(e) => write!(f, "placement failed: {e}"),
@@ -281,68 +278,65 @@ pub fn suggested_round_bound(algorithm: &str, n: usize, config: &GatherConfig) -
     }
 }
 
-/// Dispatches an algorithm name to its concrete (monomorphic) robot type:
-/// builds the robot vector from a `Placement` exactly as the simulator's
-/// registry does, binds it to `$robots`, and evaluates `$body` with it.
+/// A computation generic over the robot type, run by [`with_robots`] on the
+/// robots of one named algorithm.
+pub trait RobotJob {
+    /// What the computation returns.
+    type Output;
+
+    /// Runs on `robots`, each paired with its start node.
+    fn run<R: BuiltinRobot>(self, robots: Vec<(R, NodeId)>) -> Self::Output;
+}
+
+/// Builds the robots of algorithm `name` on `placement` and runs `job` on
+/// them.
 ///
-/// Checking must run monomorphized — the state digest needs `R: Hash`, which
-/// the erased `DynRobot` path deliberately lacks — so every caller that
-/// executes an instance (checking, replay) goes through this one table.
-/// Unknown names early-return [`CheckError::UnknownAlgorithm`], adapted into
-/// the caller's error type via `Into`.
-macro_rules! dispatch_robots {
-    ($name:expr, $graph:expr, $placement:expr, $config:expr, |$robots:ident| $body:expr) => {{
-        let n = $graph.n();
-        let config: &GatherConfig = $config;
-        match $name {
-            "faster_gathering" => {
-                let $robots: Vec<(FasterRobot, NodeId)> = $placement
-                    .robots
-                    .iter()
-                    .map(|&(id, node)| (FasterRobot::new(id, n, config), node))
-                    .collect();
-                $body
-            }
-            "uxs_gathering" => {
-                let uxs = Uxs::shared_for_n(n, config.uxs_policy);
-                let $robots: Vec<(UxsGatherRobot, NodeId)> = $placement
-                    .robots
-                    .iter()
-                    .map(|&(id, node)| (UxsGatherRobot::with_sequence(id, uxs.clone()), node))
-                    .collect();
-                $body
-            }
-            "undispersed_gathering" => {
-                let $robots: Vec<(UndispersedRobot, NodeId)> = $placement
-                    .robots
-                    .iter()
-                    .map(|&(id, node)| (UndispersedRobot::new(id, n, config), node))
-                    .collect();
-                $body
-            }
-            "expanding_baseline" => {
-                let $robots: Vec<(ExpandingRobot, NodeId)> = $placement
-                    .robots
-                    .iter()
-                    .map(|&(id, node)| (ExpandingRobot::new(id, n), node))
-                    .collect();
-                $body
-            }
-            $crate::spec::BROKEN_EAGER => {
-                let $robots: Vec<($crate::broken::BrokenEager, NodeId)> = $placement
-                    .robots
-                    .iter()
-                    .map(|&(id, node)| ($crate::broken::BrokenEager::new(id), node))
-                    .collect();
-                $body
-            }
-            other => {
-                return Err($crate::spec::CheckError::UnknownAlgorithm(other.to_string()).into())
+/// `name` resolves through the simulator's built-in robot table
+/// ([`visit_builtins`]) plus [`BROKEN_EAGER`], and the robots come from the
+/// same typed constructor the simulator runs. Checking must run
+/// monomorphized — the state digest needs `R: Hash`, which the erased
+/// `DynRobot` path deliberately lacks — so every caller that executes an
+/// instance (checking, replay, diagrams) goes through here. Unknown names
+/// fail with [`CheckError::UnknownAlgorithm`].
+pub fn with_robots<J: RobotJob>(
+    name: &str,
+    graph: &PortGraph,
+    placement: &Placement,
+    config: &GatherConfig,
+    job: J,
+) -> Result<J::Output, CheckError> {
+    struct Dispatch<'a, J: RobotJob> {
+        name: &'a str,
+        graph: &'a PortGraph,
+        placement: &'a Placement,
+        config: &'a GatherConfig,
+        job: Option<J>,
+        output: Option<J::Output>,
+    }
+    impl<J: RobotJob> BuiltinVisitor for Dispatch<'_, J> {
+        fn visit<R: BuiltinRobot>(&mut self) {
+            if R::NAME == self.name {
+                if let Some(job) = self.job.take() {
+                    let robots = R::robots(self.graph, self.placement, self.config);
+                    self.output = Some(job.run(robots));
+                }
             }
         }
-    }};
+    }
+    let mut dispatch = Dispatch {
+        name,
+        graph,
+        placement,
+        config,
+        job: Some(job),
+        output: None,
+    };
+    visit_builtins(&mut dispatch);
+    dispatch.visit::<BrokenEager>();
+    dispatch
+        .output
+        .ok_or_else(|| CheckError::UnknownAlgorithm(name.to_string()))
 }
-pub(crate) use dispatch_robots;
 
 /// Exhaustively checks one instance.
 ///
@@ -359,21 +353,14 @@ pub fn run_check(spec: &CheckSpec) -> Result<CheckReport, CheckError> {
         None => suggested_round_bound(&spec.algorithm.name, graph.n(), config)
             .ok_or_else(|| CheckError::UnknownAlgorithm(spec.algorithm.name.clone()))?,
     };
-    let limits = spec.limits();
-    let outcome = dispatch_robots!(
-        spec.algorithm.name.as_str(),
-        graph,
-        placement,
-        config,
-        |robots| check_generic(
-            &graph,
-            robots,
-            spec.scheduler,
-            bound,
-            limits,
-            faults.as_ref()
-        )
-    );
+    let job = Check {
+        graph: &graph,
+        scheduler: spec.scheduler,
+        bound,
+        limits: spec.limits(),
+        faults: faults.as_ref(),
+    };
+    let outcome = with_robots(&spec.algorithm.name, &graph, &placement, config, job)?;
     Ok(report_from(spec, bound, outcome))
 }
 
@@ -393,24 +380,29 @@ pub(crate) fn resolve_check_faults(
 }
 
 /// Builds the machine for one concrete robot type and exhausts it.
-fn check_generic<R: Robot + Clone + Hash>(
-    graph: &PortGraph,
-    robots: Vec<(R, NodeId)>,
+struct Check<'a> {
+    graph: &'a PortGraph,
     scheduler: Scheduler,
     bound: u64,
     limits: TraverseLimits,
-    faults: Option<&EngineFaults>,
-) -> TraverseOutcome<Activation, Violation> {
-    let machine = match faults {
-        None => GatherMachine::new(graph, robots, scheduler),
-        Some(f) => GatherMachine::with_faults(graph, robots, scheduler, f.clone()),
-    };
-    let initial = crate::machine::Machine::initial(&machine);
-    let mut ctx = PredicateCtx::new(graph, &initial.positions, bound);
-    if let Some(f) = faults {
-        ctx = ctx.with_crash_faults(f);
+    faults: Option<&'a EngineFaults>,
+}
+
+impl RobotJob for Check<'_> {
+    type Output = TraverseOutcome<Activation, Violation>;
+
+    fn run<R: BuiltinRobot>(self, robots: Vec<(R, NodeId)>) -> Self::Output {
+        let machine = match self.faults {
+            None => GatherMachine::new(self.graph, robots, self.scheduler),
+            Some(f) => GatherMachine::with_faults(self.graph, robots, self.scheduler, f.clone()),
+        };
+        let initial = crate::machine::Machine::initial(&machine);
+        let mut ctx = PredicateCtx::new(self.graph, &initial.positions, self.bound);
+        if let Some(f) = self.faults {
+            ctx = ctx.with_crash_faults(f);
+        }
+        traverse(&machine, self.limits, |s| ctx.classify(s))
     }
-    traverse(&machine, limits, |s| ctx.classify(s))
 }
 
 fn report_from(
@@ -638,6 +630,31 @@ mod tests {
         let old: CheckSpec = serde_json::from_str(json).unwrap();
         assert!(old.faults.is_empty());
         assert_eq!(old.expect, None);
+    }
+
+    #[test]
+    fn every_registered_algorithm_is_checkable() {
+        // The checker's table is the registry's own: each registered name
+        // must instantiate through `with_robots` as the robot type of that
+        // name, and have a default liveness bound.
+        struct NameOf;
+        impl RobotJob for NameOf {
+            type Output = &'static str;
+            fn run<R: BuiltinRobot>(self, _robots: Vec<(R, NodeId)>) -> &'static str {
+                R::NAME
+            }
+        }
+        let cfg = GatherConfig::fast();
+        let graph = gather_graph::generators::cycle(5).unwrap();
+        let placement = Placement::new(vec![(1, 0), (2, 2)]);
+        let names = registry::global().names();
+        assert!(!names.is_empty());
+        for name in names {
+            let got = with_robots(name, &graph, &placement, &cfg, NameOf)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(got, name);
+            assert!(suggested_round_bound(name, 5, &cfg).is_some(), "{name}");
+        }
     }
 
     #[test]

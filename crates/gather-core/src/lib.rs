@@ -79,7 +79,7 @@ pub use config::GatherConfig;
 pub use faster::{build_schedule, shared_schedule, FasterRobot, Segment, SegmentKind};
 pub use hop_meeting::{BoundedDfs, HopMeeting, HopMeetingRobot};
 pub use messages::{Msg, Role};
-pub use registry::{AlgorithmFactory, AlgorithmRegistry};
+pub use registry::{AlgorithmFactory, AlgorithmRegistry, Builtin, BuiltinRobot};
 pub use scenario::{
     AlgorithmSpec, GraphSpec, LabelSpec, PlacementSpec, ScenarioError, ScenarioOutcome,
     ScenarioSpec,

@@ -7,6 +7,13 @@
 //! crates register their own factories next to the four built-in paper
 //! algorithms without touching this crate.
 //!
+//! A robot type whose constructor is known statically implements
+//! [`BuiltinRobot`] instead, and the generic [`Builtin`] factory provides
+//! both the erased `spawn` and a monomorphic `run` from that one
+//! constructor. The four paper algorithms are registered this way, and
+//! [`visit_builtins`] is their one table: the registry and the model
+//! checker both enumerate it.
+//!
 //! Factories are looked up by the same stable names that result tables use
 //! (`"faster_gathering"`, `"uxs_gathering"`, `"undispersed_gathering"`,
 //! `"expanding_baseline"`), which is what lets a JSON-parsed
@@ -19,10 +26,12 @@ use crate::faster::FasterRobot;
 use crate::undispersed::UndispersedRobot;
 use crate::uxs_gathering::UxsGatherRobot;
 use gather_graph::{NodeId, PortGraph};
-use gather_sim::{placement::Placement, DynRobot, SimConfig, SimOutcome, Simulator};
+use gather_sim::{placement::Placement, DynRobot, Robot, SimConfig, SimOutcome, Simulator};
 use gather_uxs::Uxs;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::Hash;
+use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
 /// A named constructor for one gathering algorithm.
@@ -31,6 +40,9 @@ use std::sync::{Arc, OnceLock};
 /// shared [`GatherConfig`] and returns one erased robot per placement entry,
 /// paired with its start node. Factories must be stateless or internally
 /// synchronised: sweeps call them concurrently from worker threads.
+///
+/// A robot type known statically is better registered through
+/// [`Builtin`], which implements this trait from one typed constructor.
 pub trait AlgorithmFactory: Send + Sync {
     /// Short stable name used for lookup and in result tables
     /// (e.g. `"faster_gathering"`).
@@ -53,10 +65,9 @@ pub trait AlgorithmFactory: Send + Sync {
     ///
     /// The default erases robots through [`spawn`](AlgorithmFactory::spawn),
     /// which costs an `Arc` allocation per announce and a typed re-collect
-    /// per decide on the per-robot per-round hot loop. Factories whose robot
-    /// type is known statically (all four built-ins) override this to hand
-    /// the simulator a monomorphized robot vector instead — same results,
-    /// no erasure overhead on million-round sweeps.
+    /// per decide on the per-robot per-round hot loop. [`Builtin`] replaces
+    /// it with a monomorphized robot vector — same results, no erasure
+    /// overhead on million-round sweeps.
     fn run(
         &self,
         graph: &PortGraph,
@@ -67,6 +78,84 @@ pub trait AlgorithmFactory: Send + Sync {
         let robots = self.spawn(graph, placement, config);
         Simulator::new(graph, sim_config).run(robots)
     }
+}
+
+/// A robot type with one typed constructor: everything the registry needs
+/// to run it by name, erased or monomorphic.
+///
+/// `Clone + Hash` lets the model checker explore and digest its states.
+pub trait BuiltinRobot: Robot<Msg: Send + Sync> + Clone + Hash + Send + 'static {
+    /// Short stable name used for lookup and in result tables.
+    const NAME: &'static str;
+
+    /// One-line human description for listings.
+    const DESCRIPTION: &'static str;
+
+    /// Builds one robot per placement entry, paired with its start node.
+    fn robots(
+        graph: &PortGraph,
+        placement: &Placement,
+        config: &GatherConfig,
+    ) -> Vec<(Self, NodeId)>;
+}
+
+/// The [`AlgorithmFactory`] of a [`BuiltinRobot`]: `spawn` erases the
+/// typed robots and `run` hands them to the simulator as they are. Build
+/// one with `Builtin::<R>::default()`.
+pub struct Builtin<R>(PhantomData<fn() -> R>);
+
+impl<R> Default for Builtin<R> {
+    fn default() -> Self {
+        Builtin(PhantomData)
+    }
+}
+
+impl<R: BuiltinRobot> AlgorithmFactory for Builtin<R> {
+    fn name(&self) -> &'static str {
+        R::NAME
+    }
+
+    fn description(&self) -> &'static str {
+        R::DESCRIPTION
+    }
+
+    fn spawn(
+        &self,
+        graph: &PortGraph,
+        placement: &Placement,
+        config: &GatherConfig,
+    ) -> Vec<(Box<dyn DynRobot>, NodeId)> {
+        R::robots(graph, placement, config)
+            .into_iter()
+            .map(|(robot, node)| (Box::new(robot) as Box<dyn DynRobot>, node))
+            .collect()
+    }
+
+    fn run(
+        &self,
+        graph: &PortGraph,
+        placement: &Placement,
+        config: &GatherConfig,
+        sim_config: SimConfig,
+    ) -> SimOutcome {
+        Simulator::new(graph, sim_config).run(R::robots(graph, placement, config))
+    }
+}
+
+/// A computation generic over the robot type, run once per entry of the
+/// built-in table by [`visit_builtins`].
+pub trait BuiltinVisitor {
+    /// Called with one built-in robot type.
+    fn visit<R: BuiltinRobot>(&mut self);
+}
+
+/// The built-in robot table: visits the robot type of each paper
+/// algorithm, in registration order.
+pub fn visit_builtins(visitor: &mut impl BuiltinVisitor) {
+    visitor.visit::<FasterRobot>();
+    visitor.visit::<UxsGatherRobot>();
+    visitor.visit::<UndispersedRobot>();
+    visitor.visit::<ExpandingRobot>();
 }
 
 /// Error returned by registry lookups and runs.
@@ -112,12 +201,15 @@ impl AlgorithmRegistry {
 
     /// A registry pre-populated with the four paper algorithms.
     pub fn with_builtins() -> Self {
-        let mut r = AlgorithmRegistry::empty();
-        r.register(Arc::new(FasterFactory));
-        r.register(Arc::new(UxsFactory));
-        r.register(Arc::new(UndispersedFactory));
-        r.register(Arc::new(ExpandingFactory));
-        r
+        struct Register(AlgorithmRegistry);
+        impl BuiltinVisitor for Register {
+            fn visit<R: BuiltinRobot>(&mut self) {
+                self.0.register(Arc::new(Builtin::<R>::default()));
+            }
+        }
+        let mut r = Register(AlgorithmRegistry::empty());
+        visit_builtins(&mut r);
+        r.0
     }
 
     /// Registers (or replaces) a factory under its own name.
@@ -189,201 +281,83 @@ pub fn global() -> &'static AlgorithmRegistry {
 }
 
 // ---------------------------------------------------------------------------
-// Built-in factories.
+// Built-in robots.
 // ---------------------------------------------------------------------------
 
+/// One robot per placement entry, each built by `make` from its label.
+fn each<R>(
+    placement: &Placement,
+    mut make: impl FnMut(gather_sim::RobotId) -> R,
+) -> Vec<(R, NodeId)> {
+    placement
+        .robots
+        .iter()
+        .map(|&(id, node)| (make(id), node))
+        .collect()
+}
+
 /// `Faster-Gathering` (§2.3) — the paper's main contribution.
-pub struct FasterFactory;
+impl BuiltinRobot for FasterRobot {
+    const NAME: &'static str = "faster_gathering";
+    const DESCRIPTION: &'static str =
+        "Faster-Gathering (§2.3): the composed algorithm of Theorems 12/16";
 
-impl AlgorithmFactory for FasterFactory {
-    fn name(&self) -> &'static str {
-        "faster_gathering"
-    }
-
-    fn description(&self) -> &'static str {
-        "Faster-Gathering (§2.3): the composed algorithm of Theorems 12/16"
-    }
-
-    fn spawn(
-        &self,
+    fn robots(
         graph: &PortGraph,
         placement: &Placement,
         config: &GatherConfig,
-    ) -> Vec<(Box<dyn DynRobot>, NodeId)> {
-        let n = graph.n();
-        placement
-            .robots
-            .iter()
-            .map(|&(id, node)| {
-                (
-                    Box::new(FasterRobot::new(id, n, config)) as Box<dyn DynRobot>,
-                    node,
-                )
-            })
-            .collect()
-    }
-
-    fn run(
-        &self,
-        graph: &PortGraph,
-        placement: &Placement,
-        config: &GatherConfig,
-        sim_config: SimConfig,
-    ) -> SimOutcome {
-        let n = graph.n();
-        let robots: Vec<(FasterRobot, NodeId)> = placement
-            .robots
-            .iter()
-            .map(|&(id, node)| (FasterRobot::new(id, n, config), node))
-            .collect();
-        Simulator::new(graph, sim_config).run(robots)
+    ) -> Vec<(Self, NodeId)> {
+        each(placement, |id| FasterRobot::new(id, graph.n(), config))
     }
 }
 
 /// The UXS-based algorithm of §2.1, doubling as the Õ(n⁵ log ℓ) baseline.
-pub struct UxsFactory;
+impl BuiltinRobot for UxsGatherRobot {
+    const NAME: &'static str = "uxs_gathering";
+    const DESCRIPTION: &'static str = "UXS gathering (§2.1): works for any k; the paper's baseline";
 
-impl AlgorithmFactory for UxsFactory {
-    fn name(&self) -> &'static str {
-        "uxs_gathering"
-    }
-
-    fn description(&self) -> &'static str {
-        "UXS gathering (§2.1): works for any k; the paper's baseline"
-    }
-
-    fn spawn(
-        &self,
+    fn robots(
         graph: &PortGraph,
         placement: &Placement,
         config: &GatherConfig,
-    ) -> Vec<(Box<dyn DynRobot>, NodeId)> {
+    ) -> Vec<(Self, NodeId)> {
         // One memoized sequence for the whole run: the per-robot `clone` is
         // an `Arc` bump on the shared offsets, not a copy (and repeated runs
         // at the same `n` skip the construction entirely).
         let uxs = Uxs::shared_for_n(graph.n(), config.uxs_policy);
-        placement
-            .robots
-            .iter()
-            .map(|&(id, node)| {
-                (
-                    Box::new(UxsGatherRobot::with_sequence(id, uxs.clone())) as Box<dyn DynRobot>,
-                    node,
-                )
-            })
-            .collect()
-    }
-
-    fn run(
-        &self,
-        graph: &PortGraph,
-        placement: &Placement,
-        config: &GatherConfig,
-        sim_config: SimConfig,
-    ) -> SimOutcome {
-        let uxs = Uxs::shared_for_n(graph.n(), config.uxs_policy);
-        let robots: Vec<(UxsGatherRobot, NodeId)> = placement
-            .robots
-            .iter()
-            .map(|&(id, node)| (UxsGatherRobot::with_sequence(id, uxs.clone()), node))
-            .collect();
-        Simulator::new(graph, sim_config).run(robots)
+        each(placement, |id| {
+            UxsGatherRobot::with_sequence(id, uxs.clone())
+        })
     }
 }
 
 /// `Undispersed-Gathering` (§2.2); requires an undispersed start.
-pub struct UndispersedFactory;
+impl BuiltinRobot for UndispersedRobot {
+    const NAME: &'static str = "undispersed_gathering";
+    const DESCRIPTION: &'static str =
+        "Undispersed-Gathering (§2.2): O(n³) rounds from an undispersed start";
 
-impl AlgorithmFactory for UndispersedFactory {
-    fn name(&self) -> &'static str {
-        "undispersed_gathering"
-    }
-
-    fn description(&self) -> &'static str {
-        "Undispersed-Gathering (§2.2): O(n³) rounds from an undispersed start"
-    }
-
-    fn spawn(
-        &self,
+    fn robots(
         graph: &PortGraph,
         placement: &Placement,
         config: &GatherConfig,
-    ) -> Vec<(Box<dyn DynRobot>, NodeId)> {
-        let n = graph.n();
-        placement
-            .robots
-            .iter()
-            .map(|&(id, node)| {
-                (
-                    Box::new(UndispersedRobot::new(id, n, config)) as Box<dyn DynRobot>,
-                    node,
-                )
-            })
-            .collect()
-    }
-
-    fn run(
-        &self,
-        graph: &PortGraph,
-        placement: &Placement,
-        config: &GatherConfig,
-        sim_config: SimConfig,
-    ) -> SimOutcome {
-        let n = graph.n();
-        let robots: Vec<(UndispersedRobot, NodeId)> = placement
-            .robots
-            .iter()
-            .map(|&(id, node)| (UndispersedRobot::new(id, n, config), node))
-            .collect();
-        Simulator::new(graph, sim_config).run(robots)
+    ) -> Vec<(Self, NodeId)> {
+        each(placement, |id| UndispersedRobot::new(id, graph.n(), config))
     }
 }
 
 /// Dessmark-style expanding-radius rendezvous baseline (two robots).
-pub struct ExpandingFactory;
+impl BuiltinRobot for ExpandingRobot {
+    const NAME: &'static str = "expanding_baseline";
+    const DESCRIPTION: &'static str =
+        "Dessmark-style expanding-radius rendezvous baseline (two robots)";
 
-impl AlgorithmFactory for ExpandingFactory {
-    fn name(&self) -> &'static str {
-        "expanding_baseline"
-    }
-
-    fn description(&self) -> &'static str {
-        "Dessmark-style expanding-radius rendezvous baseline (two robots)"
-    }
-
-    fn spawn(
-        &self,
+    fn robots(
         graph: &PortGraph,
         placement: &Placement,
         _config: &GatherConfig,
-    ) -> Vec<(Box<dyn DynRobot>, NodeId)> {
-        let n = graph.n();
-        placement
-            .robots
-            .iter()
-            .map(|&(id, node)| {
-                (
-                    Box::new(ExpandingRobot::new(id, n)) as Box<dyn DynRobot>,
-                    node,
-                )
-            })
-            .collect()
-    }
-
-    fn run(
-        &self,
-        graph: &PortGraph,
-        placement: &Placement,
-        _config: &GatherConfig,
-        sim_config: SimConfig,
-    ) -> SimOutcome {
-        let n = graph.n();
-        let robots: Vec<(ExpandingRobot, NodeId)> = placement
-            .robots
-            .iter()
-            .map(|&(id, node)| (ExpandingRobot::new(id, n), node))
-            .collect();
-        Simulator::new(graph, sim_config).run(robots)
+    ) -> Vec<(Self, NodeId)> {
+        each(placement, |id| ExpandingRobot::new(id, graph.n()))
     }
 }
 
@@ -427,7 +401,7 @@ mod tests {
 
     #[test]
     fn monomorphized_run_overrides_agree_with_the_erased_default() {
-        // The built-ins override `run` to skip DynRobot erasure on the hot
+        // `Builtin` overrides `run` to skip DynRobot erasure on the hot
         // loop; the erased default (via spawn) must produce identical
         // outcomes or the override has drifted.
         let g = generators::random_connected(8, 0.3, 2).unwrap();

@@ -1,12 +1,14 @@
 //! Cartesian parameter sweeps over scenario axes, executed in parallel.
 //!
-//! A [`Sweep`] is a builder over the four scenario axes — graphs, placements,
-//! algorithms, seeds — whose cartesian product expands into concrete
-//! [`ScenarioSpec`] values. [`Sweep::run`] distributes those scenarios over
-//! the [`gather_sim::runner::run_parallel`] thread pool and returns a
-//! [`SweepReport`] of structured rows in a deterministic order (axis order is
-//! graph → placement → algorithm → seed, independent of thread count), which
-//! `gather-bench`'s `Table` renders directly.
+//! A [`SweepSpec`] is a grid over the scenario axes — graphs, placements,
+//! algorithms, seeds, fault plans — whose cartesian product expands into
+//! concrete [`ScenarioSpec`] values through [`SweepSpec::cell_at`]. A
+//! [`Sweep`] is that grid plus how to execute it: [`Sweep::run`] distributes
+//! the cells over the [`gather_sim::runner::run_parallel`] thread pool and
+//! returns a [`SweepReport`] of structured rows in a deterministic order
+//! (axis order is graph → placement → algorithm → seed → fault plan,
+//! independent of thread count), which `gather-bench`'s `Table` renders
+//! directly.
 //!
 //! Sweeps optionally run through a content-addressed [`ResultStore`] (see
 //! [`Sweep::cache`]): cells whose [`crate::cache::spec_key`] is already
@@ -44,43 +46,15 @@ enum ArtifactMode {
     Off,
 }
 
-/// Builder for a cartesian sweep over scenario axes.
+/// Builder for a cartesian sweep: a [`SweepSpec`] grid plus its execution
+/// options (threads, result store and policy, instance sharing).
 #[derive(Clone)]
 pub struct Sweep {
-    graphs: Vec<GraphSpec>,
-    placements: Vec<PlacementSpec>,
-    algorithms: Vec<AlgorithmSpec>,
-    seeds: Vec<u64>,
-    faults: Vec<FaultPlan>,
-    max_rounds: u64,
+    grid: SweepSpec,
     threads: usize,
     cache: Option<Arc<dyn ResultStore>>,
     cache_policy: CachePolicy,
     artifacts: ArtifactMode,
-}
-
-impl fmt::Debug for Sweep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Sweep")
-            .field("graphs", &self.graphs)
-            .field("placements", &self.placements)
-            .field("algorithms", &self.algorithms)
-            .field("seeds", &self.seeds)
-            .field("faults", &self.faults)
-            .field("max_rounds", &self.max_rounds)
-            .field("threads", &self.threads)
-            .field("cache", &self.cache.as_ref().map(|_| "<ResultStore>"))
-            .field("cache_policy", &self.cache_policy)
-            .field(
-                "artifacts",
-                match &self.artifacts {
-                    ArtifactMode::PerRun => &"per-run",
-                    ArtifactMode::Shared(_) => &"shared",
-                    ArtifactMode::Off => &"off",
-                },
-            )
-            .finish()
-    }
 }
 
 impl Default for Sweep {
@@ -92,18 +66,7 @@ impl Default for Sweep {
 impl Sweep {
     /// An empty sweep: seed 0, default round cap, all available threads.
     pub fn new() -> Self {
-        Sweep {
-            graphs: Vec::new(),
-            placements: Vec::new(),
-            algorithms: Vec::new(),
-            seeds: vec![0],
-            faults: Vec::new(),
-            max_rounds: DEFAULT_MAX_ROUNDS,
-            threads: runner::default_threads(),
-            cache: None,
-            cache_policy: CachePolicy::Off,
-            artifacts: ArtifactMode::PerRun,
-        }
+        SweepSpec::new().into_sweep()
     }
 
     /// Shares a caller-supplied [`ArtifactCache`] across this sweep's cells
@@ -137,46 +100,44 @@ impl Sweep {
 
     /// Adds one graph axis point.
     pub fn graph(mut self, g: GraphSpec) -> Self {
-        self.graphs.push(g);
+        self.grid.graphs.push(g);
         self
     }
 
     /// Adds many graph axis points.
     pub fn graphs(mut self, gs: impl IntoIterator<Item = GraphSpec>) -> Self {
-        self.graphs.extend(gs);
+        self.grid.graphs.extend(gs);
         self
     }
 
     /// Adds one placement axis point.
     pub fn placement(mut self, p: PlacementSpec) -> Self {
-        self.placements.push(p);
+        self.grid.placements.push(p);
         self
     }
 
     /// Adds many placement axis points.
     pub fn placements(mut self, ps: impl IntoIterator<Item = PlacementSpec>) -> Self {
-        self.placements.extend(ps);
+        self.grid.placements.extend(ps);
         self
     }
 
     /// Adds one algorithm axis point.
     pub fn algorithm(mut self, a: AlgorithmSpec) -> Self {
-        self.algorithms.push(a);
+        self.grid.algorithms.push(a);
         self
     }
 
     /// Adds many algorithm axis points.
     pub fn algorithms(mut self, algos: impl IntoIterator<Item = AlgorithmSpec>) -> Self {
-        self.algorithms.extend(algos);
+        self.grid.algorithms.extend(algos);
         self
     }
 
-    /// Replaces the seed axis (default: the single seed 0).
+    /// Replaces the seed axis (default: the single seed 0; an empty axis
+    /// behaves the same).
     pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds = seeds.into_iter().collect();
-        if self.seeds.is_empty() {
-            self.seeds.push(0);
-        }
+        self.grid.seeds = seeds.into_iter().collect();
         self
     }
 
@@ -184,19 +145,19 @@ impl Sweep {
     /// cell's placement ids). An empty axis — the default — behaves as the
     /// single fault-free plan and expands to exactly the pre-fault cells.
     pub fn fault(mut self, plan: FaultPlan) -> Self {
-        self.faults.push(plan);
+        self.grid.faults.push(plan);
         self
     }
 
     /// Adds many fault-plan axis points.
     pub fn faults(mut self, plans: impl IntoIterator<Item = FaultPlan>) -> Self {
-        self.faults.extend(plans);
+        self.grid.faults.extend(plans);
         self
     }
 
     /// Replaces the per-scenario round cap.
     pub fn max_rounds(mut self, max_rounds: u64) -> Self {
-        self.max_rounds = max_rounds;
+        self.grid.max_rounds = max_rounds;
         self
     }
 
@@ -206,43 +167,9 @@ impl Sweep {
         self
     }
 
-    /// Expands the axes into concrete scenarios, in the deterministic report
-    /// order: graph → placement → algorithm → seed → fault plan. With the
-    /// default empty fault axis the innermost loop has exactly one
-    /// (fault-free) iteration, so fault-less sweeps expand to the exact
-    /// pre-fault cell list.
+    /// Expands the grid into concrete scenarios (see [`SweepSpec::specs`]).
     pub fn specs(&self) -> Vec<ScenarioSpec> {
-        let fault_free = [FaultPlan::default()];
-        let fault_axis: &[FaultPlan] = if self.faults.is_empty() {
-            &fault_free
-        } else {
-            &self.faults
-        };
-        let mut out = Vec::with_capacity(
-            self.graphs.len()
-                * self.placements.len()
-                * self.algorithms.len()
-                * self.seeds.len()
-                * fault_axis.len(),
-        );
-        for &graph in &self.graphs {
-            for &placement in &self.placements {
-                for algorithm in &self.algorithms {
-                    for &seed in &self.seeds {
-                        for faults in fault_axis {
-                            let mut spec = ScenarioSpec::new(graph, placement, algorithm.clone())
-                                .with_seed(seed)
-                                .with_max_rounds(self.max_rounds);
-                            if !faults.is_empty() {
-                                spec = spec.with_faults(faults.clone());
-                            }
-                            out.push(spec);
-                        }
-                    }
-                }
-            }
-        }
-        out
+        self.grid.specs()
     }
 
     /// Runs every scenario over the thread pool and collects one row each.
@@ -327,17 +254,10 @@ impl Sweep {
         self.run(crate::registry::global())
     }
 
-    /// The serializable mirror of this builder's axes (threads and cache
-    /// wiring are execution details and are not part of the wire value).
+    /// This sweep's grid (threads and cache wiring are execution details
+    /// and are not part of the wire value).
     pub fn to_spec(&self) -> SweepSpec {
-        SweepSpec {
-            graphs: self.graphs.clone(),
-            placements: self.placements.clone(),
-            algorithms: self.algorithms.clone(),
-            seeds: self.seeds.clone(),
-            max_rounds: self.max_rounds,
-            faults: self.faults.clone(),
-        }
+        self.grid.clone()
     }
 }
 
@@ -345,12 +265,11 @@ impl Sweep {
 /// to the sweep service (`gather-service`) and a convenient way to keep
 /// experiment grids in JSON files.
 ///
-/// `SweepSpec` mirrors the [`Sweep`] builder's axes — graphs × placements ×
-/// algorithms × seeds plus the shared round cap — but carries none of the
-/// execution knobs (thread count, cache wiring): those belong to whoever
-/// runs the grid, not to the grid itself. Convert with
-/// [`SweepSpec::into_sweep`] to execute locally, or expand with
-/// [`SweepSpec::specs`] (same deterministic cell order as [`Sweep::specs`]).
+/// The axes — graphs × placements × algorithms × seeds × fault plans plus
+/// the shared round cap — carry none of the execution knobs (thread count,
+/// cache wiring): those belong to whoever runs the grid, not to the grid
+/// itself. Convert with [`SweepSpec::into_sweep`] to execute locally, or
+/// expand with [`SweepSpec::cell_at`] / [`SweepSpec::specs`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Graph axis points.
@@ -456,27 +375,33 @@ impl fmt::Display for CellRange {
 impl SweepSpec {
     /// An empty grid with seed axis `[0]` and the default round cap.
     pub fn new() -> Self {
-        Sweep::new().to_spec()
+        SweepSpec {
+            graphs: Vec::new(),
+            placements: Vec::new(),
+            algorithms: Vec::new(),
+            seeds: vec![0],
+            max_rounds: DEFAULT_MAX_ROUNDS,
+            faults: Vec::new(),
+        }
     }
 
-    /// Converts the wire value back into an executable [`Sweep`] builder
-    /// (default thread count, no cache attached — chain [`Sweep::threads`] /
+    /// Wraps the grid, unchanged, in an executable [`Sweep`] (default
+    /// thread count, no cache attached — chain [`Sweep::threads`] /
     /// [`Sweep::cache`] as needed).
     pub fn into_sweep(self) -> Sweep {
-        Sweep::new()
-            .graphs(self.graphs)
-            .placements(self.placements)
-            .algorithms(self.algorithms)
-            .seeds(self.seeds)
-            .faults(self.faults)
-            .max_rounds(self.max_rounds)
+        Sweep {
+            grid: self,
+            threads: runner::default_threads(),
+            cache: None,
+            cache_policy: CachePolicy::Off,
+            artifacts: ArtifactMode::PerRun,
+        }
     }
 
-    /// Expands the grid into concrete scenarios in the deterministic cell
-    /// order (graph → placement → algorithm → seed), exactly like
-    /// [`Sweep::specs`].
+    /// Expands the grid into concrete scenarios: [`SweepSpec::cell_at`] of
+    /// every index in `0..cells()`.
     pub fn specs(&self) -> Vec<ScenarioSpec> {
-        self.clone().into_sweep().specs()
+        self.specs_range(CellRange::new(0, self.cells()))
     }
 
     /// Number of cells the grid expands to, computed without materializing
@@ -491,14 +416,13 @@ impl SweepSpec {
     }
 
     /// The scenario at position `index` of the deterministic expansion
-    /// order, derived by mixed-radix index arithmetic instead of
-    /// materializing the grid — `spec.cell_at(i) == spec.specs()[i]` for
-    /// every in-range `i`. Returns `None` past [`SweepSpec::cells`].
+    /// order, derived by mixed-radix index arithmetic — the grid's only
+    /// expansion. Returns `None` past [`SweepSpec::cells`].
     ///
     /// The axis order is graph → placement → algorithm → seed → fault plan
-    /// (fault plan varies fastest), exactly as [`Sweep::specs`] nests its
-    /// loops; an empty seed axis behaves as the single seed 0 and an empty
-    /// fault axis as the single fault-free plan, mirroring the expansion.
+    /// (fault plan varies fastest); an empty seed axis behaves as the single
+    /// seed 0 and an empty fault axis as the single fault-free plan, so
+    /// fault-less grids expand to exactly the pre-fault cells.
     pub fn cell_at(&self, index: usize) -> Option<ScenarioSpec> {
         if index >= self.cells() {
             return None;
@@ -937,15 +861,56 @@ mod tests {
         assert_eq!(spec, back);
         assert_eq!(back.max_rounds, 123_456);
         assert_eq!(back.seeds, vec![1, 2]);
+        // A grid with no seeds passes through a `Sweep` unchanged, on the
+        // wire too.
+        let no_seeds = SweepSpec {
+            seeds: Vec::new(),
+            ..spec
+        };
+        assert_eq!(no_seeds.clone().into_sweep().to_spec(), no_seeds);
+        assert_eq!(
+            no_seeds.clone().into_sweep().to_spec().to_json(),
+            no_seeds.to_json()
+        );
+        assert_eq!(SweepSpec::from_json(&no_seeds.to_json()).unwrap(), no_seeds);
     }
 
     #[test]
-    fn sweep_spec_expands_exactly_like_the_builder() {
-        let sweep = tiny_sweep();
-        let spec = sweep.to_spec();
-        assert_eq!(spec.cells(), 8);
-        assert_eq!(spec.specs(), sweep.specs());
-        assert_eq!(spec.clone().into_sweep().specs(), sweep.specs());
+    fn specs_follow_the_documented_axis_order() {
+        let crash = FaultPlan::new(1).crash(2, 3);
+        let spec = tiny_sweep()
+            .faults([FaultPlan::default(), crash.clone()])
+            .to_spec();
+        let free = FaultPlan::default();
+        let (f, u) = ("faster_gathering", "uxs_gathering");
+        // graph → placement → algorithm → seed → fault plan.
+        let expected = [
+            (Family::Cycle, f, 1, &free),
+            (Family::Cycle, f, 1, &crash),
+            (Family::Cycle, f, 2, &free),
+            (Family::Cycle, f, 2, &crash),
+            (Family::Cycle, u, 1, &free),
+            (Family::Cycle, u, 1, &crash),
+            (Family::Cycle, u, 2, &free),
+            (Family::Cycle, u, 2, &crash),
+            (Family::Path, f, 1, &free),
+            (Family::Path, f, 1, &crash),
+            (Family::Path, f, 2, &free),
+            (Family::Path, f, 2, &crash),
+            (Family::Path, u, 1, &free),
+            (Family::Path, u, 1, &crash),
+            (Family::Path, u, 2, &free),
+            (Family::Path, u, 2, &crash),
+        ];
+        let all = spec.specs();
+        assert_eq!(all.len(), spec.cells());
+        let got: Vec<_> = all
+            .iter()
+            .map(|c| (c.graph.family, c.algorithm.name.as_str(), c.seed, &c.faults))
+            .collect();
+        assert_eq!(got, expected);
+        assert_eq!(spec.cell_at(all.len()), None);
+        assert_eq!(spec.cell_at(usize::MAX), None);
     }
 
     #[test]
@@ -1052,20 +1017,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_at_matches_the_materialized_expansion() {
-        let spec = tiny_sweep()
-            .faults([FaultPlan::default(), FaultPlan::new(1).crash(2, 3)])
-            .to_spec();
-        let all = spec.specs();
-        assert_eq!(all.len(), spec.cells());
-        for (i, expected) in all.iter().enumerate() {
-            assert_eq!(spec.cell_at(i).as_ref(), Some(expected), "cell {i}");
-        }
-        assert_eq!(spec.cell_at(all.len()), None);
-        assert_eq!(spec.cell_at(usize::MAX), None);
-    }
-
-    #[test]
     fn carved_ranges_partition_the_grid_exactly() {
         let spec = tiny_sweep().to_spec();
         let all = spec.specs();
@@ -1094,9 +1045,8 @@ mod tests {
 
     #[test]
     fn carving_handles_empty_seed_and_fault_axes_like_the_expansion() {
-        // A hand-built spec with an empty seed axis: `specs()` (via
-        // `into_sweep`) substitutes the single seed 0, and carving must
-        // agree.
+        // A hand-built spec with an empty seed axis expands as the single
+        // seed 0, and carving must agree.
         let spec = SweepSpec {
             graphs: vec![GraphSpec::new(Family::Cycle, 6)],
             placements: vec![PlacementSpec::new(PlacementKind::UndispersedRandom, 3)],

@@ -18,7 +18,8 @@
 //!   observation/action types that enforce the knowledge model;
 //! * [`engine`] — the round loop, gathering/termination detection and
 //!   validation of detection correctness, factored around the pure
-//!   [`engine::transition`] step function over [`engine::SimState`];
+//!   [`engine::transition`] step function (with optional faults) over
+//!   [`engine::SimState`];
 //! * [`scheduler`] — activation schedulers ([`scheduler::Scheduler`]):
 //!   the paper's fully synchronous rounds plus relaxed (semi-synchronous
 //!   and sequential) adversaries for model checking;
@@ -46,10 +47,7 @@ pub mod scheduler;
 pub mod trace;
 
 pub use config::SimConfig;
-pub use engine::{
-    transition, transition_faulty, transition_faulty_with, transition_with, RoundShape, SimOutcome,
-    SimState, Simulator, StepBuffers,
-};
+pub use engine::{transition, SimOutcome, SimState, Simulator, StepBuffers};
 pub use faults::{ByzantineStrategy, EngineFaults, FaultError, FaultPlan, RobotFault};
 pub use metrics::{Degradation, Metrics};
 pub use placement::{Placement, PlacementKind};
