@@ -33,6 +33,12 @@
 //!   serialized compactly. Canonicalisation makes the key independent of
 //!   field order, so a spec parsed from hand-written JSON with reordered
 //!   fields hashes identically to one built in Rust.
+//! * The canonical JSON is a definition, not a buffer: [`spec_key`] walks
+//!   the value tree once, visiting each object's keys in sorted order and
+//!   escaping strings as `serde_json`'s writer does, and streams those
+//!   bytes straight into an incremental SHA-256. No sorted copy of the tree
+//!   and no JSON `String` is built. A differential test holds the stream
+//!   byte-equal to "sort a clone, render it with `serde_json`".
 //!
 //! The key format is pinned by a fixture test
 //! (`spec_key_is_pinned_across_releases`): it must never change silently,
@@ -42,13 +48,15 @@
 //!
 //! [`ResultStore`] is the storage abstraction; two implementations ship:
 //!
-//! * [`MemStore`] — a `Mutex<HashMap>`; per-process, used by tests and
-//!   long-running services.
+//! * [`MemStore`] — a `Mutex<HashMap>` of shared entries; per-process, used
+//!   by tests and long-running services. The lock covers only the lookup.
 //! * [`DirStore`] — one `<key>.json` file per entry under a root directory
-//!   (the repo convention is `results/cache/`). Writes go through a
-//!   temp-file + atomic rename so concurrent sweep workers and interrupted
-//!   runs can never leave a half-written entry behind; unreadable or corrupt
-//!   entries are treated as misses and recomputed.
+//!   (the repo convention is `results/cache/`). Entries are written as
+//!   compact JSON; pretty-printed entries from earlier releases still parse
+//!   and hit. Writes go through a temp-file + atomic rename so concurrent
+//!   sweep workers and interrupted runs can never leave a half-written entry
+//!   behind; unreadable or corrupt entries are treated as misses and
+//!   recomputed.
 //!
 //! Lookups verify that the stored spec equals the requested spec before a
 //! hit is served, so even a hash collision (or a manually edited file)
@@ -67,6 +75,7 @@ use crate::scenario::{ScenarioOutcome, ScenarioSpec};
 use gather_obs::{Counter, Registry};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,33 +105,129 @@ pub const ENGINE_VERSION: u32 = 1;
 /// Equal specs always produce equal keys regardless of how they were built
 /// (Rust constructors, JSON in any field order); specs differing in any
 /// field produce different keys. See the module docs for the exact format.
+///
+/// The canonical bytes are never materialised: one walk over the spec's
+/// value tree streams them straight into the hasher, so the only
+/// allocations are the value tree itself and the returned key.
 pub fn spec_key(spec: &ScenarioSpec) -> String {
-    let value = serde_json::to_value(spec).expect("ScenarioSpec serializes");
-    let canonical = canonical_json(&value);
-    format!(
-        "v{KEY_FORMAT_VERSION}e{ENGINE_VERSION}-{}",
-        hex(&sha256(canonical.as_bytes()))
-    )
+    let mut hasher = Sha256::new();
+    hash_canonical(&mut hasher, &spec.to_value());
+    let digest = hasher.finish();
+    // `v` + u32 + `e` + u32 + `-` is at most 23 bytes.
+    let mut key = String::with_capacity(23 + 2 * digest.len());
+    let _ = write!(key, "v{KEY_FORMAT_VERSION}e{ENGINE_VERSION}-");
+    push_hex(&mut key, &digest);
+    key
 }
 
-/// Serializes a value tree to compact JSON with every object's keys sorted,
-/// recursively — the canonical form hashed by [`spec_key`].
-fn canonical_json(v: &Value) -> String {
-    serde_json::to_string(&sort_keys(v)).expect("Value serializes")
-}
-
-fn sort_keys(v: &Value) -> Value {
+/// Feeds the canonical JSON of `v` into `h`: exactly the bytes
+/// `serde_json::to_string` writes for `v` with every object's keys sorted
+/// (stably, so duplicate keys keep their order), recursively.
+fn hash_canonical(h: &mut Sha256, v: &Value) {
     match v {
-        Value::Array(items) => Value::Array(items.iter().map(sort_keys).collect()),
-        Value::Object(entries) => {
-            let mut sorted: Vec<(String, Value)> = entries
-                .iter()
-                .map(|(k, v)| (k.clone(), sort_keys(v)))
-                .collect();
-            sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Object(sorted)
+        Value::Null => h.update(b"null"),
+        Value::Bool(true) => h.update(b"true"),
+        Value::Bool(false) => h.update(b"false"),
+        Value::UInt(u) => {
+            let _ = write!(h, "{u}");
         }
-        scalar => scalar.clone(),
+        Value::Int(i) => {
+            let _ = write!(h, "{i}");
+        }
+        Value::Float(f) => {
+            if !f.is_finite() {
+                h.update(b"null");
+            } else if f.fract() == 0.0 && f.abs() < 1e15 {
+                let _ = write!(h, "{f:.1}");
+            } else {
+                let _ = write!(h, "{f}");
+            }
+        }
+        Value::String(s) => hash_string(h, s),
+        Value::Array(items) => {
+            h.update(b"[");
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    h.update(b",");
+                }
+                hash_canonical(h, item);
+            }
+            h.update(b"]");
+        }
+        Value::Object(entries) => {
+            // Visit entries in (key, index) order — what a stable sort by
+            // key yields — by selecting the successor of the last visited
+            // entry each time. The scan needs no allocation, and spec objects
+            // have a handful of fields, so it stays cheap despite being
+            // quadratic.
+            h.update(b"{");
+            let mut last: Option<(&str, usize)> = None;
+            for n in 0..entries.len() {
+                let (i, (k, item)) = entries
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, (k, _))| last.is_none_or(|l| (k.as_str(), i) > l))
+                    .min_by_key(|&(i, (k, _))| (k.as_str(), i))
+                    .expect("one unvisited entry per remaining slot");
+                if n > 0 {
+                    h.update(b",");
+                }
+                hash_string(h, k);
+                h.update(b":");
+                hash_canonical(h, item);
+                last = Some((k.as_str(), i));
+            }
+            h.update(b"}");
+        }
+    }
+}
+
+/// Feeds a JSON string literal into `h`, escaped as `serde_json`'s writer
+/// escapes it. Runs of bytes that need no escape go in one piece; every
+/// escaped character is ASCII, so scanning bytes never splits a UTF-8
+/// sequence.
+fn hash_string(h: &mut Sha256, s: &str) {
+    h.update(b"\"");
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let control;
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0x08 => b"\\b",
+            0x0c => b"\\f",
+            0x00..=0x1f => {
+                control = [
+                    b'\\',
+                    b'u',
+                    b'0',
+                    b'0',
+                    HEX[usize::from(b >> 4)],
+                    HEX[usize::from(b & 0xf)],
+                ];
+                &control
+            }
+            _ => continue,
+        };
+        h.update(&bytes[start..i]);
+        h.update(escape);
+        start = i + 1;
+    }
+    h.update(&bytes[start..]);
+    h.update(b"\"");
+}
+
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends the lowercase hex of `bytes` to `out`.
+fn push_hex(out: &mut String, bytes: &[u8]) {
+    for &b in bytes {
+        out.push(char::from(HEX[usize::from(b >> 4)]));
+        out.push(char::from(HEX[usize::from(b & 0xf)]));
     }
 }
 
@@ -142,72 +247,119 @@ const SHA256_K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-/// SHA-256 digest of `data`.
-fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    // Pad: message ‖ 0x80 ‖ zeros ‖ 64-bit big-endian bit length.
-    let mut msg = data.to_vec();
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
-    }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
-
-    let mut w = [0u32; 64];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().unwrap());
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(SHA256_K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-            *slot = slot.wrapping_add(v);
-        }
-    }
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
+/// Incremental SHA-256: `update` any number of times, then `finish`.
+/// Implements [`fmt::Write`] so numbers can be formatted straight into it.
+struct Sha256 {
+    state: [u32; 8],
+    /// The partial block not yet compressed; `block[..buffered]` is live.
+    block: [u8; 64],
+    buffered: usize,
+    /// Total message length in bytes.
+    len: u64,
 }
 
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+impl Sha256 {
+    fn new() -> Self {
+        Sha256 {
+            state: [
+                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+                0x5be0cd19,
+            ],
+            block: [0; 64],
+            buffered: 0,
+            len: 0,
+        }
     }
-    s
+
+    fn update(&mut self, mut data: &[u8]) {
+        self.len = self.len.wrapping_add(data.len() as u64);
+        let free = 64 - self.buffered;
+        if data.len() < free {
+            // The canonical walk's usual piece: a few bytes, no block done.
+            self.block[self.buffered..self.buffered + data.len()].copy_from_slice(data);
+            self.buffered += data.len();
+            return;
+        }
+        if self.buffered > 0 {
+            let (head, rest) = data.split_at(free);
+            self.block[self.buffered..].copy_from_slice(head);
+            compress(&mut self.state, &self.block);
+            data = rest;
+        }
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
+        }
+        let rest = blocks.remainder();
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
+    }
+
+    /// Pads (message ‖ 0x80 ‖ zeros ‖ 64-bit big-endian bit length) and
+    /// returns the digest.
+    fn finish(mut self) -> [u8; 32] {
+        let bit_len = self.len.wrapping_mul(8);
+        self.block[self.buffered] = 0x80;
+        self.block[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            compress(&mut self.state, &self.block);
+            self.block.fill(0);
+        }
+        self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.block);
+        let mut out = [0u8; 32];
+        for (i, word) in self.state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+}
+
+impl fmt::Write for Sha256 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// One SHA-256 compression round over a 64-byte block.
+fn compress(h: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, word) in w.iter_mut().take(16).enumerate() {
+        *word = u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().unwrap());
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = hh
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(SHA256_K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (slot, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+        *slot = slot.wrapping_add(v);
+    }
 }
 
 /// How a run consults a [`ResultStore`].
@@ -293,9 +445,13 @@ fn store_obs() -> &'static StoreObs {
 }
 
 /// In-memory [`ResultStore`] behind a mutex.
+///
+/// Entries are held behind `Arc`s so the mutex covers only the hash lookup
+/// or insert; the deep copies a `get`'s owned return and a `put`'s
+/// borrowed argument need are made outside the lock.
 #[derive(Debug, Default)]
 pub struct MemStore {
-    map: Mutex<HashMap<String, CacheEntry>>,
+    map: Mutex<HashMap<String, Arc<CacheEntry>>>,
 }
 
 impl MemStore {
@@ -323,15 +479,13 @@ impl ResultStore for MemStore {
             Some(_) => obs.hits.inc(),
             None => obs.misses.inc(),
         }
-        hit
+        hit.map(|entry| CacheEntry::clone(&entry))
     }
 
     fn put(&self, entry: &CacheEntry) {
         store_obs().puts.inc();
-        self.map
-            .lock()
-            .expect("MemStore lock")
-            .insert(entry.key.clone(), entry.clone());
+        let (key, entry) = (entry.key.clone(), Arc::new(entry.clone()));
+        self.map.lock().expect("MemStore lock").insert(key, entry);
     }
 }
 
@@ -414,7 +568,7 @@ impl ResultStore for DirStore {
         if fs::create_dir_all(&self.root).is_err() {
             return;
         }
-        let Ok(json) = serde_json::to_string_pretty(entry) else {
+        let Ok(json) = serde_json::to_string(entry) else {
             return;
         };
         let tmp = self.root.join(format!(
@@ -459,26 +613,273 @@ mod tests {
         dir
     }
 
+    /// One-shot SHA-256 through the incremental hasher.
+    fn sha256(data: &[u8]) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(data);
+        h.finish()
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        let mut s = String::new();
+        push_hex(&mut s, bytes);
+        s
+    }
+
+    /// The reference canonical form: sort a clone of the value tree, then
+    /// render it with `serde_json`'s writer. [`spec_key`] streams the same
+    /// bytes without building either.
+    fn canonical_json(v: &Value) -> String {
+        serde_json::to_string(&sort_keys(v)).expect("Value serializes")
+    }
+
+    fn sort_keys(v: &Value) -> Value {
+        match v {
+            Value::Array(items) => Value::Array(items.iter().map(sort_keys).collect()),
+            Value::Object(entries) => {
+                let mut sorted: Vec<(String, Value)> = entries
+                    .iter()
+                    .map(|(k, v)| (k.clone(), sort_keys(v)))
+                    .collect();
+                sorted.sort_by(|a, b| a.0.cmp(&b.0));
+                Value::Object(sorted)
+            }
+            scalar => scalar.clone(),
+        }
+    }
+
     #[test]
     fn sha256_matches_the_fips_test_vectors() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 5] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+                  ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (msg, want) in vectors {
+            assert_eq!(hex(&sha256(msg)), want);
+            // The digest must not depend on how the input is split across
+            // `update` calls, around the padding and block edges.
+            for piece in [1, 55, 56, 63, 64, 65] {
+                let mut h = Sha256::new();
+                for chunk in msg.chunks(piece) {
+                    h.update(chunk);
+                }
+                assert_eq!(hex(&h.finish()), want, "{piece}-byte pieces");
+            }
+        }
+    }
+
+    #[test]
+    fn sha256_pads_correctly_at_every_block_edge() {
+        // 55 bytes is the longest message whose padding fits one block; 56
+        // and 63 spill the length into a second block; 64/119/120 repeat
+        // the edges one block later.
+        for (len, want) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ] {
+            assert_eq!(hex(&sha256(&vec![b'a'; len])), want, "length {len}");
+        }
+    }
+
+    /// Specs covering every value shape the canonical walk meets: every
+    /// graph family and placement kind, both label schemes, non-default
+    /// configurations, crash and every Byzantine fault, and algorithm names
+    /// that need escaping.
+    fn spec_corpus() -> Vec<ScenarioSpec> {
+        use crate::config::GatherConfig;
+        use crate::scenario::LabelSpec;
+        use gather_sim::faults::ByzantineStrategy;
+        use gather_sim::FaultPlan;
+
+        // A new placement kind or strategy fails to compile here until the
+        // corpus lists it.
+        let kinds = [
+            PlacementKind::DispersedRandom,
+            PlacementKind::UndispersedRandom,
+            PlacementKind::MaxSpread,
+            PlacementKind::AllOnOneNode,
+            PlacementKind::TwoClusters,
+            PlacementKind::PairAtDistance(3),
+        ];
+        for kind in kinds {
+            match kind {
+                PlacementKind::DispersedRandom
+                | PlacementKind::UndispersedRandom
+                | PlacementKind::MaxSpread
+                | PlacementKind::AllOnOneNode
+                | PlacementKind::TwoClusters
+                | PlacementKind::PairAtDistance(_) => {}
+            }
+        }
+        let strategies = [
+            ByzantineStrategy::Silent,
+            ByzantineStrategy::ReplayLast,
+            ByzantineStrategy::RandomMsg,
+            ByzantineStrategy::Impersonate,
+        ];
+        for strategy in strategies {
+            match strategy {
+                ByzantineStrategy::Silent
+                | ByzantineStrategy::ReplayLast
+                | ByzantineStrategy::RandomMsg
+                | ByzantineStrategy::Impersonate => {}
+            }
+        }
+
+        let base = demo_spec();
+        let mut corpus = vec![base.clone()];
+        corpus.extend(Family::ALL.iter().map(|&family| {
+            let mut s = base.clone();
+            s.graph = GraphSpec::new(family, 12);
+            s
+        }));
+        for kind in kinds {
+            for labels in [LabelSpec::Sequential, LabelSpec::Random { b: 2 }] {
+                let mut s = base.clone();
+                s.placement = PlacementSpec::new(kind, 4).with_labels(labels);
+                corpus.push(s);
+            }
+        }
+        for config in [
+            GatherConfig::default(),
+            GatherConfig::paper_faithful(),
+            GatherConfig::with_calibrated_uxs(500),
+        ] {
+            let mut s = base.clone();
+            s.algorithm = AlgorithmSpec::new("uxs_gathering").with_config(config);
+            corpus.push(s);
+        }
+        corpus.push(base.clone().with_faults(FaultPlan::new(3).crash(1, 5)));
+        for strategy in strategies {
+            corpus.push(
+                base.clone()
+                    .with_faults(FaultPlan::new(9).byzantine(2, strategy)),
+            );
+        }
+        corpus.push(
+            base.clone().with_faults(
+                FaultPlan::new(u64::MAX)
+                    .crash(1, 0)
+                    .byzantine(3, ByzantineStrategy::Impersonate),
+            ),
         );
+        for name in [
+            "say \"hi\"",
+            r"back\slash",
+            "line\nfeed\rtab\tbell\u{7}nul\u{0}bs\u{8}ff\u{c}us\u{1f}del\u{7f}",
+            "gathering-\u{e9}\u{2192}\u{1f916}",
+            "",
+        ] {
+            let mut s = base.clone();
+            s.algorithm.name = name.into();
+            corpus.push(s);
+        }
+        corpus.push(base.clone().with_seed(u64::MAX).with_max_rounds(0));
+        corpus
+    }
+
+    #[test]
+    fn streamed_digest_matches_the_sorted_clone_oracle() {
+        let corpus = spec_corpus();
+        for spec in &corpus {
+            let oracle = canonical_json(&spec.to_value());
+            let mut streamed = Sha256::new();
+            hash_canonical(&mut streamed, &spec.to_value());
+            assert_eq!(
+                hex(&streamed.finish()),
+                hex(&sha256(oracle.as_bytes())),
+                "{oracle}"
+            );
+            assert_eq!(
+                spec_key(spec),
+                format!(
+                    "v{KEY_FORMAT_VERSION}e{ENGINE_VERSION}-{}",
+                    hex(&sha256(oracle.as_bytes()))
+                )
+            );
+        }
+        let mut keys: Vec<String> = corpus.iter().map(spec_key).collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), corpus.len(), "corpus specs are distinct");
+    }
+
+    #[test]
+    fn streamed_digest_matches_the_oracle_on_raw_value_shapes() {
+        // Shapes no spec produces today but the walk must still get right:
+        // floats, negative integers, nested and empty containers, and
+        // duplicate keys (a stable sort keeps them in input order).
+        let value = Value::Object(vec![
+            ("z".into(), Value::Float(1.0)),
+            ("a".into(), Value::Float(-2.5e20)),
+            ("m".into(), Value::Float(f64::NAN)),
+            (
+                "n".into(),
+                Value::Array(vec![Value::Float(5e15), Value::Float(0.1)]),
+            ),
+            ("d".into(), Value::Int(-7)),
+            ("d".into(), Value::Bool(false)),
+            ("".into(), Value::Null),
+            ("\u{e9}".into(), Value::Array(vec![])),
+            ("b".into(), Value::Object(vec![])),
+            (
+                "c\"".into(),
+                Value::Array(vec![
+                    Value::Object(vec![
+                        ("y".into(), Value::UInt(1)),
+                        ("x".into(), Value::Bool(true)),
+                    ]),
+                    Value::String("\u{1}".into()),
+                ]),
+            ),
+        ]);
+        let mut streamed = Sha256::new();
+        hash_canonical(&mut streamed, &value);
         assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        // Crosses the one-block boundary (padding must spill into block 2).
-        assert_eq!(
-            hex(&sha256(&[b'a'; 64])),
-            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"
+            hex(&streamed.finish()),
+            hex(&sha256(canonical_json(&value).as_bytes()))
         );
     }
 
@@ -578,6 +979,62 @@ mod tests {
         let other = spec_key(&demo_spec().with_seed(1234));
         fs::copy(&path, root.join(format!("{other}.json"))).unwrap();
         assert!(store.get(&other).is_none(), "renamed entry must miss");
+
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn dir_store_writes_compact_entries_and_still_reads_pretty_ones() {
+        use crate::sweep::SweepRow;
+
+        let root = temp_root("pretty");
+        let store = DirStore::new(&root);
+        let spec = demo_spec();
+        let key = spec_key(&spec);
+        let path = root.join(format!("{key}.json"));
+        let fresh = spec.run_default().unwrap();
+        let fresh_row = serde_json::to_string(&SweepRow::ok(&spec, &fresh)).unwrap();
+
+        store.put(&CacheEntry::new(key.clone(), spec.clone(), fresh.clone()));
+        let compact = fs::read_to_string(&path).unwrap();
+        assert!(!compact.contains('\n'), "entries are written compactly");
+
+        // An entry as earlier releases wrote it: the same entry,
+        // pretty-printed with two-space indents.
+        let pretty = serde_json::to_string_pretty(&CacheEntry::new(
+            key.clone(),
+            spec.clone(),
+            fresh.clone(),
+        ))
+        .unwrap();
+        assert!(pretty.contains("\n  \"key\": "), "{pretty}");
+        assert!(pretty.len() > compact.len());
+        fs::write(&path, &pretty).unwrap();
+        let registry = crate::registry::global();
+        let (hit, cached) = spec
+            .run_cached(registry, &store, CachePolicy::ReadOnly)
+            .unwrap();
+        assert!(cached, "a pretty entry must hit");
+        assert_eq!(
+            serde_json::to_string(&SweepRow::ok(&spec, &hit)).unwrap(),
+            fresh_row,
+            "a pretty entry's row is byte-identical to a fresh run's"
+        );
+
+        // A pretty entry under the right key but for another spec still
+        // misses: the stored spec is verified, whatever the layout.
+        let other = spec.clone().with_seed(8);
+        let foreign = serde_json::to_string_pretty(&CacheEntry::new(
+            key.clone(),
+            other.clone(),
+            other.run_default().unwrap(),
+        ))
+        .unwrap();
+        fs::write(&path, foreign).unwrap();
+        let (_, cached) = spec
+            .run_cached(registry, &store, CachePolicy::ReadOnly)
+            .unwrap();
+        assert!(!cached, "a mismatched spec must miss");
 
         let _ = fs::remove_dir_all(&root);
     }

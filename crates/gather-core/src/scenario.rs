@@ -429,10 +429,12 @@ impl ScenarioSpec {
             }
         }
         let outcome = self.run_with(registry, artifacts)?;
-        if policy.writes() {
-            store.put(&CacheEntry::new(key, self.clone(), outcome.clone()));
+        if !policy.writes() {
+            return Ok((outcome, false));
         }
-        Ok((outcome, false))
+        let entry = CacheEntry::new(key, self.clone(), outcome);
+        store.put(&entry);
+        Ok((entry.outcome, false))
     }
 }
 
