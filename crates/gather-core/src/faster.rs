@@ -216,6 +216,10 @@ impl FasterRobot {
     /// Moves to the segment containing `round`, instantiating the embedded
     /// sub-algorithm freshly at each boundary.
     fn sync_segment(&mut self, round: u64) {
+        let current = self.schedule[self.segment_idx];
+        if round >= current.start && round - current.start < current.len {
+            return;
+        }
         let idx = self
             .schedule
             .iter()
@@ -302,6 +306,26 @@ impl Robot for FasterRobot {
                 ActiveSub::Uxs(sub) => sub.memory_bits(),
                 ActiveSub::Check => 0,
             }
+    }
+
+    /// Forwards the embedded Undispersed-Gathering's idle promise, capped at
+    /// the end of the current segment; every other segment promises nothing.
+    fn idle_rounds(&self) -> u64 {
+        match &self.active {
+            ActiveSub::Undispersed(sub) => {
+                let seg = self.schedule[self.segment_idx];
+                let left = (seg.start + seg.len).saturating_sub(self.global_round);
+                sub.idle_rounds().min(left)
+            }
+            _ => 0,
+        }
+    }
+
+    fn skip_idle_rounds(&mut self, rounds: u64) {
+        self.global_round += rounds;
+        if let ActiveSub::Undispersed(sub) = &mut self.active {
+            sub.skip_idle_rounds(rounds);
+        }
     }
 }
 

@@ -112,6 +112,39 @@ impl UndispersedGathering {
         self.local_round >= self.r1 && self.local_round < self.total
     }
 
+    /// How many of the next rounds this robot is guaranteed to spend idle,
+    /// asked right after a decide that stayed (the [`Robot::idle_rounds`]
+    /// contract). Only Phase 1 waits qualify, and only once the round just
+    /// run was itself a Phase 1 round, so that the skipped rounds repeat its
+    /// announcement. Waiters and helpers wait out the phase; a finder whose
+    /// map is complete waits until its last Phase 1 round, which prepares
+    /// the tour and therefore runs.
+    pub fn idle_rounds(&self) -> u64 {
+        // `local_round` is the next round to run; the one just run precedes
+        // it.
+        if self.local_round < 2 || self.local_round >= self.r1 {
+            return 0;
+        }
+        match self.role {
+            Role::Waiter | Role::Helper => self.r1 - self.local_round,
+            Role::Finder => {
+                let mapped = self.pending_token_move.is_none()
+                    && self.mapper.as_ref().is_some_and(TokenMapper::is_complete);
+                if mapped {
+                    self.r1 - 1 - self.local_round
+                } else {
+                    0
+                }
+            }
+        }
+    }
+
+    /// Advances the round counter over `rounds` idle rounds promised by
+    /// [`UndispersedGathering::idle_rounds`].
+    pub fn skip_idle_rounds(&mut self, rounds: u64) {
+        self.local_round += rounds;
+    }
+
     /// Prepares the Phase 2 spanning-tree tour from the completed map.
     fn prepare_tour(&mut self) {
         let Some(mapper) = self.mapper.as_ref() else {
@@ -473,6 +506,14 @@ impl Robot for UndispersedRobot {
     fn memory_estimate_bits(&self) -> usize {
         self.inner.memory_bits()
     }
+
+    fn idle_rounds(&self) -> u64 {
+        self.inner.idle_rounds()
+    }
+
+    fn skip_idle_rounds(&mut self, rounds: u64) {
+        self.inner.skip_idle_rounds(rounds)
+    }
 }
 
 #[cfg(test)]
@@ -609,6 +650,43 @@ mod tests {
         assert_eq!(helper.role(), Role::Helper);
         assert_eq!(helper.groupid(), Some(2));
         assert!(!finder.map_construction_failed());
+    }
+
+    #[test]
+    fn idle_promises_cover_only_repeating_phase1_rounds() {
+        let cfg = GatherConfig::fast();
+        let n = 5;
+        let r1 = undispersed_phase1_rounds(n, &cfg);
+        let obs = |round, colocated| Observation {
+            round,
+            n,
+            degree: 2,
+            entry_port: None,
+            colocated,
+        };
+        // The introduction round announces differently from Phase 1, so a
+        // waiter promises nothing after it; after its first Phase 1 round
+        // it promises the rest of the phase.
+        let mut w = UndispersedGathering::new(4, n, &cfg);
+        let _ = SubAlgorithm::announce(&mut w, &obs(0, 0));
+        let _ = w.decide(&obs(0, 0), Inbox::empty());
+        assert_eq!(w.idle_rounds(), 0);
+        let _ = SubAlgorithm::announce(&mut w, &obs(1, 0));
+        assert_eq!(w.decide(&obs(1, 0), Inbox::empty()), SubAction::Stay);
+        assert_eq!(w.idle_rounds(), r1 - 2);
+        w.skip_idle_rounds(r1 - 2);
+        assert!(w.in_phase2());
+        assert_eq!(w.idle_rounds(), 0, "Phase 2 runs round by round");
+
+        // A finder still building its map promises nothing.
+        let mut f = UndispersedGathering::new(2, n, &cfg);
+        let _ = SubAlgorithm::announce(&mut f, &obs(0, 1));
+        let _ = f.decide(&obs(0, 1), Inbox::from_slice(&[(9, Msg::StepCheck)]));
+        assert_eq!(f.role(), Role::Finder);
+        let _ = SubAlgorithm::announce(&mut f, &obs(1, 1));
+        let token = [(9, Msg::Phase1Helper { groupid: 2 })];
+        let _ = f.decide(&obs(1, 1), Inbox::from_slice(&token));
+        assert_eq!(f.idle_rounds(), 0);
     }
 
     #[test]

@@ -17,11 +17,14 @@
 //!
 //! * `uxs_gathering` — leaders walking the shared exploration sequence;
 //! * `undispersed_gathering` — Phase 2 touring/adoption (the former
-//!   per-round `peers: Vec` collection, now a single pass over the inbox);
+//!   per-round `peers: Vec` collection, now a single pass over the inbox),
+//!   and the Phase 1 wait after the map is built, which the engine skips
+//!   rather than executes;
 //! * `faster_gathering` — the embedded hop-meeting segment (the former
 //!   per-cycle `BoundedDfs` construction, now one rewound DFS per robot)
 //!   and the embedded UXS segment, entered directly via
-//!   [`FasterRobot::with_known_distance`];
+//!   [`FasterRobot::with_known_distance`], plus step 1's skipped Phase 1
+//!   wait for lone robots;
 //! * `expanding_baseline` — its radius-1 hop-meeting phase.
 //!
 //! Both dispatch paths are pinned: the monomorphized path (concrete robot
@@ -178,6 +181,45 @@ fn steady_state_robot_decide_paths_perform_zero_heap_allocations() {
             },
             r1 + 4,
             r1 + 28,
+        );
+    }
+
+    // §2.2 Undispersed-Gathering, Phase 1 wait: by R1/2 the finder's map
+    // is complete, so finder, helper and waiter all idle until the finder's
+    // last Phase 1 round and the engine fast-forwards over the window.
+    {
+        let g = generators::cycle(16).unwrap();
+        let r1 = undispersed_phase1_rounds(16, &cfg);
+        check_case(
+            "undispersed_gathering (skipped phase 1 wait)",
+            &g,
+            || {
+                [(1u64, 0usize), (2, 0), (3, 8)]
+                    .into_iter()
+                    .map(|(id, node)| (UndispersedRobot::new(id, 16, &cfg), node))
+                    .collect()
+            },
+            r1 / 2,
+            r1 - 8,
+        );
+    }
+
+    // §2.3 Faster-Gathering, step 1 for two lone robots: both wait out
+    // the embedded Phase 1, which the engine skips.
+    {
+        let g = generators::cycle(32).unwrap();
+        let r1 = undispersed_phase1_rounds(32, &cfg);
+        check_case(
+            "faster_gathering (skipped phase 1 wait)",
+            &g,
+            || {
+                [(5u64, 0usize), (7, 10)]
+                    .into_iter()
+                    .map(|(id, node)| (FasterRobot::new(id, 32, &cfg), node))
+                    .collect()
+            },
+            100,
+            r1 - 100,
         );
     }
 

@@ -197,6 +197,8 @@ pub struct StepBuffers<R: Robot> {
     arena_owner: Vec<u32>,
     observations: Vec<Observation>,
     actions: Vec<Action>,
+    /// True when every action of the last finished round was `Stay`.
+    all_stayed: bool,
     // Per-robot previous announcement, kept only for robots with a
     // `ByzantineStrategy::ReplayLast` fault (lazily sized on first use, so
     // fault-free runs never touch it). This is deliberate *cross-round*
@@ -243,6 +245,7 @@ impl<R: Robot> StepBuffers<R> {
             },
             observations: vec![dummy_obs; k],
             actions: vec![Action::Stay; k],
+            all_stayed: false,
             last_msgs: Vec::new(),
         }
     }
@@ -408,10 +411,12 @@ impl<R: Robot> StepBuffers<R> {
 
         // --- Apply actions simultaneously -----------------------------
         let mut false_detection = false;
+        self.all_stayed = true;
         for i in 0..k {
             match self.actions[i] {
                 Action::Stay => {}
                 Action::Move(p) => {
+                    self.all_stayed = false;
                     let node = state.positions[i];
                     let deg = graph.degree(node);
                     assert!(
@@ -430,6 +435,7 @@ impl<R: Robot> StepBuffers<R> {
                     }
                 }
                 Action::Terminate => {
+                    self.all_stayed = false;
                     state.terminated[i] = true;
                     // Longstanding quirk, preserved for fixture parity:
                     // this reads `positions` mid-application, so moves of
@@ -564,6 +570,39 @@ pub fn transition<R: Robot + Clone>(
     next
 }
 
+/// The number of following rounds every live robot of `state` promises to
+/// spend idle ([`Robot::idle_rounds`]); 0 as soon as one refuses. The robot
+/// that refused last time, `refuser`, is asked first: while it keeps
+/// refusing (a finder mapping between token moves, say), an all-stay round
+/// costs one call instead of `k`.
+fn common_idle_rounds<R: Robot>(state: &SimState<R>, refuser: &mut usize) -> u64 {
+    let ask = |i: usize| {
+        if state.terminated[i] {
+            u64::MAX
+        } else {
+            state.robots[i].idle_rounds()
+        }
+    };
+    if ask(*refuser) == 0 {
+        return 0;
+    }
+    let mut common = u64::MAX;
+    for i in 0..state.k() {
+        let m = ask(i);
+        if m == 0 {
+            *refuser = i;
+            return 0;
+        }
+        common = common.min(m);
+    }
+    // Every robot terminated: nothing left to skip for.
+    if common == u64::MAX {
+        0
+    } else {
+        common
+    }
+}
+
 /// Process-global engine metric handles ([`gather_obs`] registry).
 ///
 /// Registered once per process in a `OnceLock` so the steady-state round
@@ -576,6 +615,7 @@ pub fn transition<R: Robot + Clone>(
 struct EngineObs {
     runs: Arc<Counter>,
     rounds: Arc<Counter>,
+    rounds_skipped: Arc<Counter>,
     moves: Arc<Counter>,
     messages: Arc<Counter>,
     rounds_per_sec: Arc<Histogram>,
@@ -591,6 +631,7 @@ fn engine_obs() -> &'static EngineObs {
         EngineObs {
             runs: registry.counter("engine_runs_total"),
             rounds: registry.counter("engine_rounds_total"),
+            rounds_skipped: registry.counter("engine_rounds_skipped_total"),
             moves: registry.counter("engine_moves_total"),
             messages: registry.counter("engine_messages_total"),
             rounds_per_sec: registry.histogram("engine_rounds_per_sec"),
@@ -630,6 +671,15 @@ impl<'g> Simulator<'g> {
     /// in steady state. The scheduler in [`SimConfig`] picks each round's
     /// activation via [`Scheduler::canonical_activation`] (for the default
     /// [`Scheduler::FullySync`] that is always [`Activation::All`]).
+    ///
+    /// The driver also fast-forwards over idle windows, which the transition
+    /// never does: after a round in which every robot stayed put, a
+    /// fault-free, fully synchronous, untraced run asks each non-terminated
+    /// robot for its [`Robot::idle_rounds`] promise and skips the common
+    /// minimum (capped at `max_rounds`) in one step. Nothing observable can
+    /// change in such a window — positions, announcements and inboxes
+    /// repeat — so the outcome equals the round-by-round one; only the
+    /// messages delivered and the robots' round counters advance.
     pub fn run<R: Robot>(&self, robots: Vec<(R, NodeId)>) -> SimOutcome {
         let obs = engine_obs();
         let detail = gather_obs::detail_enabled();
@@ -660,6 +710,10 @@ impl<'g> Simulator<'g> {
             None
         };
         let mut bufs: StepBuffers<R> = StepBuffers::new(self.graph.n(), &state);
+        let may_skip =
+            faults.is_none() && self.config.scheduler == Scheduler::FullySync && trace.is_none();
+        let mut rounds_skipped: u64 = 0;
+        let mut idle_refuser: usize = 0;
 
         let mut first_gather_round: Option<u64> = None;
         let mut first_survivor_gather_round: Option<u64> = None;
@@ -726,6 +780,7 @@ impl<'g> Simulator<'g> {
                 s => s.canonical_activation(alive_mask(&state.terminated), state.round),
             };
             let this_round = state.round;
+            let delivered_before = metrics.messages_delivered;
             let step_start = detail.then(Instant::now);
             if bufs.finish_round(
                 self.graph,
@@ -751,6 +806,39 @@ impl<'g> Simulator<'g> {
             if this_round.is_multiple_of(MEMORY_SAMPLE_INTERVAL) {
                 for (i, agent) in state.robots.iter().enumerate() {
                     metrics.record_memory(i, agent.memory_estimate_bits());
+                }
+            }
+
+            // --- Idle fast-forward ----------------------------------------
+            // Everyone stayed, so the next rounds see the same positions,
+            // observations (bar `round`) and inboxes; skip as many of them
+            // as every live robot promises to spend idle.
+            if may_skip && bufs.all_stayed {
+                let skip = common_idle_rounds(&state, &mut idle_refuser)
+                    .min(self.config.max_rounds.saturating_sub(state.round));
+                if skip > 0 {
+                    let delivered = metrics.messages_delivered - delivered_before;
+                    metrics.messages_delivered = metrics
+                        .messages_delivered
+                        .saturating_add(delivered.saturating_mul(skip));
+                    // Memory is unchanged across the window, so one sample
+                    // stands for every sampling round inside it.
+                    if state
+                        .round
+                        .checked_next_multiple_of(MEMORY_SAMPLE_INTERVAL)
+                        .is_some_and(|r| r < state.round + skip)
+                    {
+                        for (i, agent) in state.robots.iter().enumerate() {
+                            metrics.record_memory(i, agent.memory_estimate_bits());
+                        }
+                    }
+                    for (robot, &t) in state.robots.iter_mut().zip(&state.terminated) {
+                        if !t {
+                            robot.skip_idle_rounds(skip);
+                        }
+                    }
+                    state.round += skip;
+                    rounds_skipped += skip;
                 }
             }
         }
@@ -779,6 +867,7 @@ impl<'g> Simulator<'g> {
         // amortized over the whole run (the per-round path is untouched).
         obs.runs.inc();
         obs.rounds.add(state.round);
+        obs.rounds_skipped.add(rounds_skipped);
         obs.moves.add(metrics_out.total_moves);
         obs.messages.add(metrics_out.messages_delivered);
         let secs = run_start.elapsed().as_secs_f64();
@@ -1569,5 +1658,100 @@ mod tests {
             .final_positions
         };
         assert_eq!(run(), run());
+    }
+
+    /// Announces its id and stays until round `wake`, then terminates.
+    /// With `promise` set it reports the rounds in between as idle; `decides`
+    /// counts the rounds it really executed.
+    struct Napper {
+        id: RobotId,
+        wake: u64,
+        next_round: u64,
+        promise: bool,
+        decides: std::rc::Rc<std::cell::Cell<u64>>,
+        done: bool,
+    }
+
+    impl Robot for Napper {
+        type Msg = RobotId;
+        fn id(&self) -> RobotId {
+            self.id
+        }
+        fn announce(&mut self, _obs: &Observation) -> RobotId {
+            self.id
+        }
+        fn decide(&mut self, obs: &Observation, _inbox: Inbox<'_, RobotId>) -> Action {
+            assert_eq!(obs.round, self.next_round, "skips keep the counter in step");
+            self.decides.set(self.decides.get() + 1);
+            self.next_round += 1;
+            if obs.round >= self.wake {
+                self.done = true;
+                Action::Terminate
+            } else {
+                Action::Stay
+            }
+        }
+        fn has_terminated(&self) -> bool {
+            self.done
+        }
+        fn memory_estimate_bits(&self) -> usize {
+            // Changes only across the executed rounds (at `wake`).
+            if self.next_round > self.wake {
+                16
+            } else {
+                8
+            }
+        }
+        fn idle_rounds(&self) -> u64 {
+            if self.promise {
+                self.wake.saturating_sub(self.next_round)
+            } else {
+                0
+            }
+        }
+        fn skip_idle_rounds(&mut self, rounds: u64) {
+            self.next_round += rounds;
+        }
+    }
+
+    #[test]
+    fn idle_windows_are_skipped_without_changing_the_outcome() {
+        let g = generators::cycle(8).unwrap();
+        let run = |config: SimConfig, promise: bool| {
+            let decides = std::rc::Rc::new(std::cell::Cell::new(0));
+            let robots = [(1, 700, 0), (2, 1_000, 0), (3, 1_000, 4)]
+                .into_iter()
+                .map(|(id, wake, node)| {
+                    let decides = decides.clone();
+                    let napper = Napper {
+                        id,
+                        wake,
+                        next_round: 0,
+                        promise,
+                        decides,
+                        done: false,
+                    };
+                    (napper, node)
+                })
+                .collect();
+            let out = Simulator::new(&g, config).run(robots);
+            (format!("{out:?}"), decides.get())
+        };
+        let skipped = Registry::global().counter("engine_rounds_skipped_total");
+        for cap in [100, 640, 641, 699, 700, 5_000] {
+            let (executed, all) = run(SimConfig::with_max_rounds(cap), false);
+            let before = skipped.get();
+            let (skipping, few) = run(SimConfig::with_max_rounds(cap), true);
+            assert_eq!(skipping, executed, "cap {cap}");
+            assert!(
+                few < all && few <= 10,
+                "cap {cap}: {few} of {all} decides ran"
+            );
+            assert!(skipped.get() > before, "cap {cap}: skips are counted");
+            // A trace (like a fault plan or a relaxed scheduler) turns
+            // skipping off.
+            let (_, traced) = run(SimConfig::with_max_rounds(cap).traced(), true);
+            assert_eq!(traced, all, "cap {cap}: traced runs execute every round");
+        }
     }
 }

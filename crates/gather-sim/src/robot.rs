@@ -289,6 +289,35 @@ pub trait Robot {
     fn memory_estimate_bits(&self) -> usize {
         0
     }
+
+    /// How many of the following rounds this robot is guaranteed to spend
+    /// idle, asked right after a [`Robot::decide`] that returned
+    /// [`Action::Stay`]. The default of 0 promises nothing.
+    ///
+    /// A return of `m` is a promise about each of the next `m` rounds,
+    /// provided the robot's observation (apart from `round`) and its inbox
+    /// repeat those of the round just run: the robot publishes the same
+    /// announcement and decides [`Action::Stay`]; its state changes only in
+    /// the round counters that [`Robot::skip_idle_rounds`]`(m)` advances;
+    /// and [`Robot::memory_estimate_bits`] does not change.
+    ///
+    /// When every non-terminated robot of a fault-free, fully synchronous,
+    /// untraced run stayed put and promises at least one idle round,
+    /// [`crate::engine::Simulator::run`] skips the common window instead of
+    /// executing it. The robots' announcements and positions repeat, so
+    /// each inbox and observation does too, and the outcome is the one the
+    /// executed rounds would have produced.
+    fn idle_rounds(&self) -> u64 {
+        0
+    }
+
+    /// Advances the robot's round counters over `rounds` idle rounds it
+    /// promised through [`Robot::idle_rounds`], as if it had announced and
+    /// decided [`Action::Stay`] in each of them. The default does nothing,
+    /// which is right for robots that keep the default promise of 0.
+    fn skip_idle_rounds(&mut self, rounds: u64) {
+        let _ = rounds;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -387,6 +416,10 @@ pub trait DynRobot: Send {
     fn has_terminated_dyn(&self) -> bool;
     /// See [`Robot::memory_estimate_bits`].
     fn memory_estimate_bits_dyn(&self) -> usize;
+    /// See [`Robot::idle_rounds`].
+    fn idle_rounds_dyn(&self) -> u64;
+    /// See [`Robot::skip_idle_rounds`].
+    fn skip_idle_rounds_dyn(&mut self, rounds: u64);
 }
 
 impl<R> DynRobot for R
@@ -424,6 +457,14 @@ where
     fn memory_estimate_bits_dyn(&self) -> usize {
         self.memory_estimate_bits()
     }
+
+    fn idle_rounds_dyn(&self) -> u64 {
+        self.idle_rounds()
+    }
+
+    fn skip_idle_rounds_dyn(&mut self, rounds: u64) {
+        self.skip_idle_rounds(rounds)
+    }
 }
 
 impl Robot for Box<dyn DynRobot> {
@@ -458,6 +499,14 @@ impl Robot for Box<dyn DynRobot> {
 
     fn memory_estimate_bits(&self) -> usize {
         self.as_ref().memory_estimate_bits_dyn()
+    }
+
+    fn idle_rounds(&self) -> u64 {
+        self.as_ref().idle_rounds_dyn()
+    }
+
+    fn skip_idle_rounds(&mut self, rounds: u64) {
+        self.as_mut().skip_idle_rounds_dyn(rounds)
     }
 }
 
