@@ -14,12 +14,14 @@
 //! sweep's rows/sec, regressed more than 25% against it. Because the
 //! baseline was recorded on a different host than the CI runner, raw ratios
 //! are first normalised by a **host factor** (the median current/baseline
-//! ratio across the stress scenarios): a uniformly slower or faster machine
-//! moves every ratio by the same factor, which the median cancels, while a
-//! genuine regression shows up as one or more metrics falling below the
-//! rest. A uniform whole-engine collapse has no relative signature by
-//! construction; the gate reports the host factor loudly so a human can
-//! spot it in the trajectory artifact.
+//! ratio across the stress scenarios that executed most of their rounds): a
+//! uniformly slower or faster machine moves every ratio by the same factor,
+//! which the median cancels, while a genuine regression shows up as one or
+//! more metrics falling below the rest. A scenario the engine fast-forwards
+//! through most of its rounds measures its skips, not per-round dispatch,
+//! so it is still gated but left out of the median. A uniform whole-engine
+//! collapse has no relative signature by construction; the gate reports the
+//! host factor loudly so a human can spot it in the trajectory artifact.
 //!
 //! Scenarios are chosen to stress the engine itself, not the algorithms:
 //! large `k` with heavy co-location (message fan-out is `O(k²)` per round),
@@ -62,6 +64,10 @@ struct ScenarioRow {
     elapsed_ms: f64,
     rounds_per_sec: f64,
     speedup_vs_baseline: Option<f64>,
+    /// Rounds the engine fast-forwarded in the timed run (the
+    /// `engine_rounds_skipped_total` delta around it). `None` in reports
+    /// predating the field.
+    rounds_skipped: Option<u64>,
 }
 
 /// Timed result of the sweep-throughput probe.
@@ -131,7 +137,11 @@ fn stress_matrix(quick: bool) -> Vec<Stress> {
     let mut out = Vec::new();
     // All robots co-located on one node: k·(k-1) messages every round — the
     // message-arena hot case (the pre-refactor engine allocated one inbox
-    // Vec + k-1 message clones per robot per round here).
+    // Vec + k-1 message clones per robot per round here). The leader, label
+    // 64 = 0b1000000, waits out the first half of its `0` bit, which the
+    // engine now fast-forwards: after two executed rounds the capped run is
+    // one skip, so like `faster_grid64_k32` this scenario measures run setup
+    // and the skip, far above its per-round baseline.
     {
         let graph = generators::cycle(64 / scale as usize).unwrap();
         let k = 64 / scale as usize;
@@ -163,7 +173,7 @@ fn stress_matrix(quick: bool) -> Vec<Stress> {
     // whole capped run lies in step 1's Phase 1 wait, which the engine now
     // fast-forwards in one skip: this scenario measures run setup and the
     // skip, far above its per-round baseline. Per-round dispatch stays
-    // covered by the other three scenarios.
+    // covered by `uxs_dispersed_k128` and `undispersed_cycle128_k64`.
     {
         let graph = generators::grid(8, 8 / scale as usize).unwrap();
         let k = 32 / scale as usize;
@@ -200,19 +210,22 @@ fn time_scenario(s: &Stress, iters: u32) -> ScenarioRow {
     let factory = registry::global().get(s.algorithm).expect("builtin");
     let cfg = GatherConfig::fast();
     let sim = SimConfig::with_max_rounds(s.max_rounds);
-    let mut best: Option<(f64, gather_sim::SimOutcome)> = None;
+    let skipped = gather_obs::Registry::global().counter("engine_rounds_skipped_total");
+    let mut best: Option<(f64, gather_sim::SimOutcome, u64)> = None;
     for i in 0..=iters {
+        let skipped_before = skipped.get();
         let t0 = Instant::now();
         let out = factory.run(&s.graph, &s.start, &cfg, sim.clone());
         let ms = t0.elapsed().as_secs_f64() * 1e3;
+        let rounds_skipped = skipped.get() - skipped_before;
         if i == 0 {
             continue; // warm-up
         }
-        if best.as_ref().is_none_or(|(b, _)| ms < *b) {
-            best = Some((ms, out));
+        if best.as_ref().is_none_or(|(b, _, _)| ms < *b) {
+            best = Some((ms, out, rounds_skipped));
         }
     }
-    let (elapsed_ms, out) = best.expect("at least one timed iteration");
+    let (elapsed_ms, out, rounds_skipped) = best.expect("at least one timed iteration");
     ScenarioRow {
         name: s.name.to_string(),
         algorithm: s.algorithm.to_string(),
@@ -225,6 +238,7 @@ fn time_scenario(s: &Stress, iters: u32) -> ScenarioRow {
         elapsed_ms,
         rounds_per_sec: out.rounds as f64 / (elapsed_ms / 1e3),
         speedup_vs_baseline: None,
+        rounds_skipped: Some(rounds_skipped),
     }
 }
 
@@ -356,6 +370,28 @@ fn time_sweep_bench(quick: bool, iters: u32) -> SweepBench {
 /// Largest tolerated throughput drop vs the baseline before `--check` fails.
 const MAX_REGRESSION: f64 = 0.25;
 
+/// The host factor: the median current/baseline rounds/sec ratio over the
+/// scenarios whose current run executed at least half of its rounds, given
+/// each scenario's `(ratio, rounds, rounds_skipped)`. A scenario the engine
+/// fast-forwards through most of its rounds runs as fast as its skips
+/// allow, up to thousands of times its per-round baseline, and would drag
+/// the median with it. A report without `rounds_skipped` says nothing about
+/// its runs, so such a scenario is left out too. `None` when fewer than two
+/// scenarios remain: no median left to trust.
+fn host_factor(scenarios: &[(f64, u64, Option<u64>)]) -> Option<f64> {
+    let mut sorted: Vec<f64> = scenarios
+        .iter()
+        .filter(|(_, rounds, skipped)| skipped.is_some_and(|s| 2 * s <= *rounds))
+        .map(|(ratio, _, _)| *ratio)
+        .collect();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
+    match sorted.len() {
+        0 | 1 => None,
+        n if n % 2 == 1 => Some(sorted[n / 2]),
+        n => Some((sorted[n / 2 - 1] + sorted[n / 2]) / 2.0),
+    }
+}
+
 /// Reads and parses one JSON report from the results directory, logging
 /// (not panicking) on failure — the gate never silently passes.
 fn read_report<T: serde::Deserialize>(dir: &std::path::Path, name: &str) -> Option<T> {
@@ -401,16 +437,25 @@ fn check() -> i32 {
         return 1;
     }
 
-    // Raw current/baseline ratios; scenarios missing from the current
-    // report fail outright.
+    // Raw current/baseline ratios, each with the rounds the current run
+    // skipped; scenarios missing from the current report fail outright.
     let mut failed = false;
     let mut ratios: Vec<(String, f64)> = Vec::new();
+    let mut scenario_ratios: Vec<(f64, u64, Option<u64>)> = Vec::new();
     for b in &base.scenarios {
         if b.rounds_per_sec <= 0.0 {
             continue;
         }
         match report.scenarios.iter().find(|r| r.name == b.name) {
-            Some(r) => ratios.push((b.name.clone(), r.rounds_per_sec / b.rounds_per_sec)),
+            Some(r) => {
+                let ratio = r.rounds_per_sec / b.rounds_per_sec;
+                ratios.push((b.name.clone(), ratio));
+                scenario_ratios.push((ratio, r.rounds, r.rounds_skipped));
+                let skipped = r
+                    .rounds_skipped
+                    .map_or("an unrecorded number of".to_string(), |s| s.to_string());
+                eprintln!("{:<28} skipped {skipped} of {} rounds", b.name, r.rounds);
+            }
             None => {
                 eprintln!("{:<28} missing from the current report", b.name);
                 failed = true;
@@ -418,19 +463,22 @@ fn check() -> i32 {
         }
     }
 
-    // The median scenario ratio estimates how fast this host is relative to
-    // the one the baseline was recorded on; normalising by it makes the
-    // gate a *relative* check that survives slower or faster CI runners.
-    let host_factor = {
-        let mut sorted: Vec<f64> = ratios.iter().map(|(_, r)| *r).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
-        match sorted.len() {
-            0 => 1.0,
-            n if n % 2 == 1 => sorted[n / 2],
-            n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
-        }
+    // The median ratio of the scenarios that executed most of their rounds
+    // estimates how fast this host is relative to the one the baseline was
+    // recorded on; normalising by it makes the gate a *relative* check that
+    // survives slower or faster CI runners.
+    let Some(host_factor) = host_factor(&scenario_ratios) else {
+        eprintln!(
+            "perf gate FAILED: fewer than two scenarios executed at least half of their \
+             rounds, so there is no host factor to normalise by; rerun `perf_report` (no \
+             flags), and if it still skips, give the matrix scenarios that run round by round"
+        );
+        return 1;
     };
-    eprintln!("host factor (median scenario ratio vs baseline host): {host_factor:.2}x");
+    eprintln!(
+        "host factor (median ratio vs baseline host of the scenarios that executed at least \
+         half of their rounds): {host_factor:.2}x"
+    );
     if !(0.5..=2.0).contains(&host_factor) {
         eprintln!(
             "note: absolute throughput shifted uniformly by {host_factor:.2}x — a different \
@@ -615,4 +663,37 @@ fn main() {
     )
     .expect("results dir writable");
     eprintln!("wrote {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::host_factor;
+
+    #[test]
+    fn a_skipping_scenario_leaves_the_host_factor_unchanged() {
+        let per_round = [
+            (0.64, 20_000, Some(0)),
+            (0.60, 50_000, Some(9_434)),
+            (0.70, 20_000, Some(0)),
+        ];
+        assert_eq!(host_factor(&per_round), Some(0.64));
+        let mut with_skip = per_round.to_vec();
+        with_skip.push((5_000.0, 50_000, Some(49_998)));
+        assert_eq!(host_factor(&with_skip), Some(0.64));
+    }
+
+    #[test]
+    fn the_host_factor_needs_two_scenarios_that_executed_most_rounds() {
+        assert_eq!(
+            host_factor(&[(0.6, 100, Some(0)), (0.8, 100, Some(50))]),
+            Some(0.7)
+        );
+        assert_eq!(
+            host_factor(&[(0.6, 100, Some(0)), (0.8, 100, Some(51))]),
+            None
+        );
+        // A report predating `rounds_skipped` says nothing about its runs.
+        assert_eq!(host_factor(&[(0.6, 100, None), (0.8, 100, None)]), None);
+        assert_eq!(host_factor(&[]), None);
+    }
 }

@@ -309,7 +309,8 @@ impl Robot for FasterRobot {
     }
 
     /// Forwards the embedded Undispersed-Gathering's idle promise, capped at
-    /// the end of the current segment; every other segment promises nothing.
+    /// the end of the current segment, and the embedded UXS-Gathering's
+    /// (its segment is open-ended); every other segment promises nothing.
     fn idle_rounds(&self) -> u64 {
         match &self.active {
             ActiveSub::Undispersed(sub) => {
@@ -317,14 +318,17 @@ impl Robot for FasterRobot {
                 let left = (seg.start + seg.len).saturating_sub(self.global_round);
                 sub.idle_rounds().min(left)
             }
+            ActiveSub::Uxs(sub) => sub.idle_rounds(),
             _ => 0,
         }
     }
 
     fn skip_idle_rounds(&mut self, rounds: u64) {
         self.global_round += rounds;
-        if let ActiveSub::Undispersed(sub) = &mut self.active {
-            sub.skip_idle_rounds(rounds);
+        match &mut self.active {
+            ActiveSub::Undispersed(sub) => sub.skip_idle_rounds(rounds),
+            ActiveSub::Uxs(sub) => sub.skip_idle_rounds(rounds),
+            _ => {}
         }
     }
 }

@@ -24,6 +24,17 @@ use gather_graph::PortId;
 use gather_sim::{Action, Inbox, Observation, Robot, RobotId};
 use gather_uxs::{Uxs, UxsWalker};
 
+/// What a leader does in one round of its label-bit schedule.
+#[derive(Debug, Clone, Copy)]
+enum LeaderStep {
+    /// Walk the exploration sequence; `fresh` in the first round of a walk.
+    Explore { fresh: bool },
+    /// Stay put; the wait window ends before round `until`.
+    Wait { until: u64 },
+    /// Announce `terminating`.
+    Terminate,
+}
+
 /// The §2.1 sub-algorithm state of one robot.
 #[derive(Debug, Clone, Hash)]
 pub struct UxsGathering {
@@ -33,6 +44,9 @@ pub struct UxsGathering {
     local_round: u64,
     /// The robot this robot currently follows (its own label while leading).
     leader: RobotId,
+    /// The leader named by this round's announcement (`leader` as it stood
+    /// in `announce`); `decide` may change `leader` after it.
+    announced: RobotId,
     /// Set in `announce` for the current round; consumed in `decide`.
     intended: Option<PortId>,
     terminating: bool,
@@ -62,6 +76,7 @@ impl UxsGathering {
             walker: UxsWalker::new(uxs),
             local_round: 0,
             leader: id,
+            announced: id,
             intended: None,
             terminating: false,
             finished: false,
@@ -88,42 +103,94 @@ impl UxsGathering {
         id_bit_length(self.id) as u64
     }
 
-    /// Computes the leader-schedule move for the current round (only
-    /// meaningful while this robot is a leader).
-    fn leader_intention(&mut self, obs: &Observation) -> (Option<PortId>, bool) {
+    /// How many of the next rounds this robot is guaranteed to spend idle,
+    /// asked right after a decide that stayed (the [`Robot::idle_rounds`]
+    /// contract). A robot whose announcement changes after the round just
+    /// run (it started following, switched leaders or took over the lead)
+    /// promises nothing. A follower otherwise promises an unbounded window:
+    /// given a repeating inbox it keeps copying a leader that stays. A leader
+    /// promises the rest of its current wait window, but only when the round
+    /// just run was a wait round of that window, so that the skipped rounds
+    /// repeat its announcement.
+    pub fn idle_rounds(&self) -> u64 {
+        if self.local_round == 0 || self.announced != self.leader {
+            return 0;
+        }
+        if self.leader != self.id {
+            return u64::MAX;
+        }
+        // `local_round` is the next round to run; the one just run precedes
+        // it.
+        match self.leader_step(self.local_round - 1) {
+            LeaderStep::Wait { until } => until - self.local_round,
+            LeaderStep::Explore { .. } | LeaderStep::Terminate => 0,
+        }
+    }
+
+    /// Advances the round counter over `rounds` idle rounds promised by
+    /// [`UxsGathering::idle_rounds`].
+    pub fn skip_idle_rounds(&mut self, rounds: u64) {
+        self.local_round += rounds;
+    }
+
+    /// The leader schedule at local round `r`. Each label bit occupies a
+    /// `2T` block: a `1` bit explores its first half and waits its second, a
+    /// `0` bit the reverse. The final `2T` block is one wait, and the round
+    /// after it terminates.
+    fn leader_step(&self, r: u64) -> LeaderStep {
         let two_t = 2 * self.t;
         if two_t == 0 {
             // Degenerate single-node graph: terminate immediately.
-            return (None, true);
+            return LeaderStep::Terminate;
         }
-        let bits = self.bit_count();
-        let r = self.local_round;
-        if r >= (bits + 1) * two_t {
+        let final_start = self.bit_count() * two_t;
+        if r >= final_start + two_t {
             // Final wait complete without being joined: terminate.
-            return (None, true);
+            return LeaderStep::Terminate;
         }
-        if r >= bits * two_t {
-            // Final 2T wait.
-            return (None, false);
+        if r >= final_start {
+            return LeaderStep::Wait {
+                until: final_start + two_t,
+            };
         }
-        let bit_idx = (r / two_t) as usize;
-        let pos = r % two_t;
-        let bit = crate::ids::id_bit(self.id, bit_idx).expect("bit_idx < bit length");
-        let exploring = if bit { pos < self.t } else { pos >= self.t };
-        let explore_start = if bit { 0 } else { self.t };
-        if exploring {
-            if pos == explore_start {
-                self.walker.reset();
-            }
-            (self.walker.next_port(obs.entry_port, obs.degree), false)
+        let block = r - r % two_t;
+        let bit =
+            crate::ids::id_bit(self.id, (r / two_t) as usize).expect("r precedes the final block");
+        let (explore_start, wait_start) = if bit {
+            (block, block + self.t)
         } else {
-            (None, false)
+            (block + self.t, block)
+        };
+        if (wait_start..wait_start + self.t).contains(&r) {
+            LeaderStep::Wait {
+                until: wait_start + self.t,
+            }
+        } else {
+            LeaderStep::Explore {
+                fresh: r == explore_start,
+            }
+        }
+    }
+
+    /// Computes the leader-schedule move for the current round (only
+    /// meaningful while this robot is a leader).
+    fn leader_intention(&mut self, obs: &Observation) -> (Option<PortId>, bool) {
+        match self.leader_step(self.local_round) {
+            LeaderStep::Terminate => (None, true),
+            LeaderStep::Wait { .. } => (None, false),
+            LeaderStep::Explore { fresh } => {
+                if fresh {
+                    self.walker.reset();
+                }
+                (self.walker.next_port(obs.entry_port, obs.degree), false)
+            }
         }
     }
 }
 
 impl SubAlgorithm for UxsGathering {
     fn announce(&mut self, obs: &Observation) -> Msg {
+        self.announced = self.leader;
         if self.leader == self.id {
             let (intended, terminating) = self.leader_intention(obs);
             self.intended = intended;
@@ -250,6 +317,14 @@ impl Robot for UxsGatherRobot {
     fn memory_estimate_bits(&self) -> usize {
         self.inner.memory_bits()
     }
+
+    fn idle_rounds(&self) -> u64 {
+        self.inner.idle_rounds()
+    }
+
+    fn skip_idle_rounds(&mut self, rounds: u64) {
+        self.inner.skip_idle_rounds(rounds)
+    }
 }
 
 #[cfg(test)]
@@ -345,6 +420,125 @@ mod tests {
             assert!(!out.false_detection, "false detection on seed {seed}");
             assert!(out.is_correct_gathering_with_detection(), "seed {seed}");
         }
+    }
+
+    /// A leader's announcement in a wait round.
+    const WAIT: Msg = Msg::UxsLeader {
+        intended: None,
+        terminating: false,
+    };
+
+    /// A robot with label `id` on a 4-node graph, over a sequence of
+    /// length `T = 4`.
+    fn short(id: RobotId) -> UxsGathering {
+        UxsGathering::with_sequence(id, Uxs::for_n(4, LengthPolicy::Fixed(4)))
+    }
+
+    /// Runs one round of `g` with the given inbox: its announcement and
+    /// action.
+    fn step(g: &mut UxsGathering, inbox: &[(RobotId, Msg)]) -> (Msg, SubAction) {
+        let obs = Observation {
+            round: g.local_round,
+            n: 4,
+            degree: 2,
+            entry_port: None,
+            colocated: inbox.len(),
+        };
+        let msg = SubAlgorithm::announce(g, &obs);
+        (msg, g.decide(&obs, Inbox::from_slice(inbox)))
+    }
+
+    /// Asserts that the promise `g` makes now holds: over the next
+    /// `promised` rounds (at most `horizon` of them are executed) it repeats
+    /// `msg` and stays, and skipping them leaves the state the executed
+    /// rounds leave.
+    fn assert_promise_holds(g: &UxsGathering, msg: Msg, inbox: &[(RobotId, Msg)], horizon: u64) {
+        let promised = g.idle_rounds();
+        let executed = promised.min(horizon);
+        let mut run = g.clone();
+        for i in 0..executed {
+            assert_eq!(
+                step(&mut run, inbox),
+                (msg.clone(), SubAction::Stay),
+                "round {i}"
+            );
+        }
+        let mut skipped = g.clone();
+        skipped.skip_idle_rounds(executed);
+        assert_eq!(format!("{skipped:?}"), format!("{run:?}"));
+    }
+
+    #[test]
+    fn a_lone_leader_promises_exactly_its_wait_windows() {
+        // Label 5 = 0b101 with 2T = 8: bit 0 explores rounds 0..4 and waits
+        // 4..8, bit 1 waits 8..12 and explores 12..16, bit 2 explores 16..20
+        // and waits 20..24, the final block waits 24..32 and round 32
+        // announces `terminating`.
+        let windows = [(4, 8), (8, 12), (20, 24), (24, 32)];
+        let mut g = short(5);
+        for r in 0..32u64 {
+            let (msg, action) = step(&mut g, &[]);
+            let expected = windows
+                .iter()
+                .find(|(start, end)| (*start..*end).contains(&r))
+                .map_or(0, |(_, end)| end - (r + 1));
+            assert_eq!(g.idle_rounds(), expected, "after round {r}");
+            if expected > 0 {
+                assert_eq!(action, SubAction::Stay);
+                assert_promise_holds(&g, msg, &[], u64::MAX);
+            }
+        }
+        // The final wait ended before the terminating round.
+        let (msg, action) = step(&mut g, &[]);
+        assert_eq!(
+            msg,
+            Msg::UxsLeader {
+                intended: None,
+                terminating: true
+            }
+        );
+        assert_eq!(action, SubAction::Finished);
+    }
+
+    #[test]
+    fn a_leader_promises_only_after_a_round_it_led() {
+        // Label 6 = 0b110 waits rounds 0..4. It follows 7 for round 0; in
+        // round 1, 7 is gone and 6 takes the lead again, which changes its
+        // announcement: no promise until it has led a wait round.
+        let mut g = short(6);
+        step(&mut g, &[(7, WAIT)]);
+        assert!(!g.is_leader());
+        assert_eq!(g.idle_rounds(), 0, "just started following");
+        step(&mut g, &[]);
+        assert!(g.is_leader());
+        assert_eq!(g.idle_rounds(), 0, "just took over the lead");
+        let (msg, _) = step(&mut g, &[]);
+        assert_eq!(msg, WAIT);
+        assert_eq!(g.idle_rounds(), 1);
+        assert_promise_holds(&g, msg, &[], u64::MAX);
+    }
+
+    #[test]
+    fn a_follower_promises_an_unbounded_window_once_it_has_settled() {
+        let inbox = [(5, WAIT)];
+        let mut g = short(3);
+        step(&mut g, &inbox);
+        assert_eq!(g.idle_rounds(), 0, "just started following 5");
+        let (msg, action) = step(&mut g, &inbox);
+        assert_eq!(msg, Msg::UxsFollower { leader: 5 });
+        assert_eq!(action, SubAction::Stay);
+        assert_eq!(g.idle_rounds(), u64::MAX);
+        assert_promise_holds(&g, msg, &inbox, 100);
+
+        // 7 arrives: switching leaders changes the announcement. From the
+        // next round on, 5 follows 7 too.
+        step(&mut g, &[(5, WAIT), (7, WAIT)]);
+        assert_eq!(g.idle_rounds(), 0, "just switched to 7");
+        let joined = [(5, Msg::UxsFollower { leader: 7 }), (7, WAIT)];
+        let (msg, _) = step(&mut g, &joined);
+        assert_eq!(msg, Msg::UxsFollower { leader: 7 });
+        assert_eq!(g.idle_rounds(), u64::MAX);
+        assert_promise_holds(&g, msg, &joined, 100);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!
 //! Windows are chosen per algorithm to exercise their hot loops:
 //!
-//! * `uxs_gathering` — leaders walking the shared exploration sequence;
+//! * `uxs_gathering` — leaders walking the shared exploration sequence, and
+//!   a group whose leader's waits the engine skips between two walks;
 //! * `undispersed_gathering` — Phase 2 touring/adoption (the former
 //!   per-round `peers: Vec` collection, now a single pass over the inbox),
 //!   and the Phase 1 wait after the map is built, which the engine skips
@@ -160,6 +161,26 @@ fn steady_state_robot_decide_paths_perform_zero_heap_allocations() {
             },
             200,
             800,
+        );
+    }
+
+    // §2.1 UXS gathering, skipped waits: four co-located robots follow
+    // label 5 = 0b101, which walks rounds 0..T, waits out T..2T (the second
+    // half of its `1` bit) and 2T..3T (the first half of its `0` bit), both
+    // skipped by the engine, and walks again from 3T.
+    {
+        let g = generators::cycle(8).unwrap();
+        let t = UxsGatherRobot::new(5, 8, &cfg).exploration_bound();
+        check_case(
+            "uxs_gathering (skipped waits)",
+            &g,
+            || {
+                (2u64..=5)
+                    .map(|id| (UxsGatherRobot::new(id, 8, &cfg), 3))
+                    .collect()
+            },
+            t - 200,
+            3 * t + 200,
         );
     }
 

@@ -2,22 +2,26 @@
 //!
 //! `Simulator::run` skips windows in which every robot promised, through
 //! `Robot::idle_rounds`, to stay put and repeat itself. These tests run the
-//! idle-heavy algorithms (`faster_gathering`, `undispersed_gathering`) once
-//! as they are and once behind [`NoSkip`], which hides the promise so every
-//! round executes, and require the two full `SimOutcome`s to serialize to
-//! the same JSON: rounds, per-robot moves and peak memory, messages, first
-//! gather and contact rounds, the termination round and final positions.
+//! idle-heavy algorithms (`faster_gathering`, `undispersed_gathering`,
+//! `uxs_gathering`) once as they are and once behind [`NoSkip`], which
+//! hides the promise so every round executes, and require the two full
+//! `SimOutcome`s to serialize to the same JSON: rounds, per-robot moves and
+//! peak memory, messages, first gather and contact rounds, the termination
+//! round and final positions.
 //!
-//! Round caps are chosen to cut runs inside an idle window and either side
-//! of a memory-sampling multiple of 64, where a wrong message count or a
-//! missed memory sample would show. [`Spy`] counts the rounds each run
-//! actually skipped, so an engine that silently stopped skipping (for
-//! instance on the erased `DynRobot` path) fails too.
+//! Round caps are chosen to cut runs inside an idle window, at its edges and
+//! either side of a memory-sampling multiple of 64, where a wrong message
+//! count or a missed memory sample would show. [`Spy`] counts the rounds
+//! each run actually skipped, so an engine that silently stopped skipping
+//! (for instance on the erased `DynRobot` path) fails too.
 
 use gather_core::schedule::{
     faster_step_start, undispersed_phase1_rounds, undispersed_total_rounds,
+    uxs_gathering_round_bound,
 };
-use gather_core::{registry, BuiltinRobot, FasterRobot, GatherConfig, UndispersedRobot};
+use gather_core::{
+    registry, BuiltinRobot, FasterRobot, GatherConfig, UndispersedRobot, UxsGatherRobot,
+};
 use gather_graph::generators::Family;
 use gather_graph::{algo, PortGraph};
 use gather_sim::placement::{self, Placement, PlacementKind};
@@ -169,11 +173,16 @@ fn placements(graph: &PortGraph) -> Vec<PlacementKind> {
     kinds
 }
 
-/// Checks robot type `R` over families, every placement kind, seeds and
-/// sizes in 5..16. `full_cap(n)` is the cap every case runs to; a rotating
-/// subset of cases also runs to the inner caps.
-fn check_grid<R: BuiltinRobot>(full_cap: impl Fn(usize) -> u64) {
-    let cfg = GatherConfig::fast();
+/// Checks robot type `R` over families, every placement kind and seeds
+/// 1..=3. Family number `f` runs on a graph of size `size(f)` with up to `k`
+/// robots; `full_cap(n)` is the cap every case runs to, and a rotating
+/// third of the cases also runs to each of `inner_caps(n)`.
+fn check_grid<R: BuiltinRobot>(
+    size: impl Fn(usize) -> usize,
+    k: usize,
+    full_cap: impl Fn(usize) -> u64,
+    inner_caps: impl Fn(usize) -> Vec<u64>,
+) {
     let families = [
         Family::Path,
         Family::Cycle,
@@ -186,16 +195,11 @@ fn check_grid<R: BuiltinRobot>(full_cap: impl Fn(usize) -> u64) {
     ];
     let mut cases = 0;
     for (f, family) in families.iter().enumerate() {
-        // Spread the seeds over 1..=3 and the sizes over 5..16.
         let seed = 1 + f as u64 % 3;
-        let graph = family.instantiate(5 + (f * 7 + 3) % 11, seed).unwrap();
+        let graph = family.instantiate(size(f), seed).unwrap();
         let n = graph.n();
-        let ids = placement::sequential_ids(4.min(n));
-        let r1 = undispersed_phase1_rounds(n, &cfg);
-        // A multiple of 64 inside step 1's Phase 1 with caps either side of
-        // it, and one cap in the middle of the idle wait.
-        let m64 = (r1 / 2).next_multiple_of(64);
-        let inner_caps = [r1 / 3 + 5, m64 - 1, m64, m64 + 1];
+        let ids = placement::sequential_ids(k.min(n));
+        let inner_caps = inner_caps(n);
         for (p, kind) in placements(&graph).into_iter().enumerate() {
             let start = placement::generate(&graph, kind, &ids, seed + 10);
             let case = format!("{} n={n} {kind:?} seed {seed}", graph.name());
@@ -215,43 +219,140 @@ fn check_grid<R: BuiltinRobot>(full_cap: impl Fn(usize) -> u64) {
     assert!(cases >= 50, "only {cases} cases ran");
 }
 
+/// Sizes spread over 5..16.
+fn size_5_to_15(f: usize) -> usize {
+    5 + (f * 7 + 3) % 11
+}
+
+/// A cap in the middle of Undispersed-Gathering's Phase 1 wait, and a
+/// multiple of 64 inside it with caps either side.
+fn phase1_caps(n: usize) -> Vec<u64> {
+    let r1 = undispersed_phase1_rounds(n, &GatherConfig::fast());
+    let m64 = (r1 / 2).next_multiple_of(64);
+    vec![r1 / 3 + 5, m64 - 1, m64, m64 + 1]
+}
+
 #[test]
 fn skipping_leaves_undispersed_gathering_outcomes_unchanged() {
     // The run ends at round R + 1.
-    check_grid::<UndispersedRobot>(|n| undispersed_total_rounds(n, &GatherConfig::fast()) + 2);
+    let full_cap = |n| undispersed_total_rounds(n, &GatherConfig::fast()) + 2;
+    check_grid::<UndispersedRobot>(size_5_to_15, 4, full_cap, phase1_caps);
 }
 
 #[test]
 fn skipping_leaves_faster_gathering_outcomes_unchanged() {
     // Through step 2 (a second Undispersed wait) into step 3's hop segment.
-    check_grid::<FasterRobot>(|n| faster_step_start(3, n, &GatherConfig::fast()) + 3 * n as u64);
+    let full_cap = |n| faster_step_start(3, n, &GatherConfig::fast()) + 3 * n as u64;
+    check_grid::<FasterRobot>(size_5_to_15, 4, full_cap, phase1_caps);
 }
 
-/// A `with_known_distance` robot starts mid-schedule (step 3 here), so its
-/// Undispersed segment begins after a hop segment, not at round 0.
+/// The exploration bound `T` of `uxs_gathering` on `n` nodes.
+fn uxs_t(n: usize) -> u64 {
+    UxsGatherRobot::new(1, n, &GatherConfig::fast()).exploration_bound()
+}
+
+/// UXS-Gathering runs to completion on sizes 5..=7 with one robot per node
+/// up to 7, so labels reach 3 bits and groups led by different labels merge
+/// (leader switches). The inner caps cut the middle of a wait, the edges of
+/// the windows that start or end at `T`, `2T` and `3T`, and either side of
+/// multiples of 64 inside the first two blocks.
+#[test]
+fn skipping_leaves_uxs_gathering_outcomes_unchanged() {
+    let full_cap = |n| uxs_gathering_round_bound(n, uxs_t(n));
+    let inner_caps = |n| {
+        let t = uxs_t(n);
+        let mut caps = vec![t / 2 + 3];
+        for edge in [t, 2 * t, 3 * t] {
+            caps.extend([edge - 1, edge, edge + 1]);
+        }
+        for mid in [t / 2, t + t / 2] {
+            let m64 = mid.next_multiple_of(64);
+            caps.extend([m64 - 1, m64, m64 + 1]);
+        }
+        caps
+    };
+    check_grid::<UxsGatherRobot>(|f| 5 + f % 3, 7, full_cap, inner_caps);
+}
+
+/// Two robots farther apart than any hop radius fall through to
+/// Faster-Gathering's step 7, whose embedded UXS-Gathering then skips its
+/// waits too.
+#[test]
+fn skipping_matches_in_faster_gatherings_uxs_step() {
+    let cfg = GatherConfig::fast();
+    let graph = Family::Path.instantiate(7, 1).unwrap();
+    let start = Placement::new(vec![(1, 0), (2, 6)]);
+    let n = graph.n();
+    let s7 = faster_step_start(7, n, &cfg);
+    let t = uxs_t(n);
+    let full_cap = s7 + uxs_gathering_round_bound(n, t);
+    let out = Simulator::new(&graph, SimConfig::with_max_rounds(full_cap))
+        .run(FasterRobot::robots(&graph, &start, &cfg));
+    assert!(
+        out.is_correct_gathering_with_detection() && out.rounds > s7,
+        "the run must gather in step 7"
+    );
+
+    // Labels 1 and 2 both wait in local rounds 3T..4T of the UXS step.
+    let wait = s7 + 3 * t + t / 2;
+    let m64 = wait.next_multiple_of(64);
+    let caps = [full_cap, wait, s7 + 4 * t, m64 - 1, m64, m64 + 1];
+    let skipped = assert_equivalent::<FasterRobot>("from step 1", &graph, &start, &caps);
+    let (_, before_uxs) = spied_run(&graph, FasterRobot::robots(&graph, &start, &cfg), s7 + 1);
+    assert!(skipped > before_uxs, "no round of the UXS step was skipped");
+}
+
+/// A `with_known_distance` robot starts mid-schedule: at step 3 its
+/// Undispersed segment begins after a hop segment, not at round 0, and at
+/// step 7 it starts in the UXS segment.
 #[test]
 fn skipping_matches_for_robots_that_start_mid_schedule() {
     let cfg = GatherConfig::fast();
-    let graph = Family::Cycle.instantiate(9, 1).unwrap();
-    let start = placement::generate(
-        &graph,
+    let cycle = Family::Cycle.instantiate(9, 1).unwrap();
+    let close = placement::generate(
+        &cycle,
         PlacementKind::PairAtDistance(2),
         &placement::sequential_ids(2),
         3,
     );
-    let mk = || -> Vec<(FasterRobot, usize)> {
-        start
-            .robots
-            .iter()
-            .map(|&(id, node)| (FasterRobot::with_known_distance(id, 9, &cfg, 2), node))
-            .collect()
-    };
-    for cap in [5_000, 50_000, 1_000_000] {
-        let (skipping, _) = spied_run(&graph, mk(), cap);
-        assert_eq!(skipping, executed_run(&graph, mk(), cap), "cap {cap}");
+    let path = Family::Path.instantiate(7, 1).unwrap();
+    let far = Placement::new(vec![(1, 0), (2, 6)]);
+    let t = uxs_t(7);
+    let cases = [
+        (&cycle, &close, 2, vec![5_000, 50_000, 1_000_000]),
+        // Labels 1 and 2 both wait in rounds 3T..4T.
+        (
+            &path,
+            &far,
+            9,
+            vec![
+                3 * t + t / 2,
+                4 * t - 1,
+                4 * t,
+                uxs_gathering_round_bound(7, t),
+            ],
+        ),
+    ];
+    for (graph, start, distance, caps) in cases {
+        let mk = || -> Vec<(FasterRobot, usize)> {
+            start
+                .robots
+                .iter()
+                .map(|&(id, node)| {
+                    let robot = FasterRobot::with_known_distance(id, graph.n(), &cfg, distance);
+                    (robot, node)
+                })
+                .collect()
+        };
+        let mut skipped = 0;
+        for &cap in &caps {
+            let (skipping, s) = spied_run(graph, mk(), cap);
+            let executed = executed_run(graph, mk(), cap);
+            assert_eq!(skipping, executed, "distance {distance} cap {cap}");
+            skipped = skipped.max(s);
+        }
+        assert!(skipped > 0, "distance {distance}: no round was skipped");
     }
-    let (_, skipped) = spied_run(&graph, mk(), 1_000_000);
-    assert!(skipped > 0, "no round was skipped");
 }
 
 /// Runs started through `AlgorithmFactory::spawn` (erased `DynRobot`s) skip
@@ -269,17 +370,33 @@ fn erased_robots_skip_like_typed_ones() {
     );
     let cap = faster_step_start(2, graph.n(), &cfg) + 40;
     for name in ["faster_gathering", "undispersed_gathering"] {
-        let factory = registry::global().get(name).expect("builtin");
-        let typed = factory.run(&graph, &start, &cfg, SimConfig::with_max_rounds(cap));
-        let typed = serde_json::to_string(&typed).unwrap();
-        let erased: Vec<(Box<dyn DynRobot>, usize)> = factory.spawn(&graph, &start, &cfg);
-        let (erased, skipped) = spied_run(&graph, erased, cap);
-        assert_eq!(
-            erased, typed,
-            "{name}: erased run differs from the typed run"
-        );
-        assert!(skipped > 0, "{name}: the erased path skipped nothing");
-        let executed = executed_run(&graph, factory.spawn(&graph, &start, &cfg), cap);
-        assert_eq!(executed, typed, "{name}: skipping changed the outcome");
+        assert_erased_matches_typed(name, &graph, &start, cap);
     }
+    // Five robots in clusters: leaders switch, then waits are skipped.
+    let graph = Family::Cycle.instantiate(6, 1).unwrap();
+    let start = placement::generate(
+        &graph,
+        PlacementKind::TwoClusters,
+        &placement::sequential_ids(5),
+        3,
+    );
+    assert_erased_matches_typed("uxs_gathering", &graph, &start, 6 * uxs_t(6) + 5);
+}
+
+/// Asserts the erased run of builtin `name` skips rounds and serializes to
+/// the typed run's outcome, as does the erased run with nothing skipped.
+fn assert_erased_matches_typed(name: &str, graph: &PortGraph, start: &Placement, cap: u64) {
+    let cfg = GatherConfig::fast();
+    let factory = registry::global().get(name).expect("builtin");
+    let typed = factory.run(graph, start, &cfg, SimConfig::with_max_rounds(cap));
+    let typed = serde_json::to_string(&typed).unwrap();
+    let erased: Vec<(Box<dyn DynRobot>, usize)> = factory.spawn(graph, start, &cfg);
+    let (erased, skipped) = spied_run(graph, erased, cap);
+    assert_eq!(
+        erased, typed,
+        "{name}: erased run differs from the typed run"
+    );
+    assert!(skipped > 0, "{name}: the erased path skipped nothing");
+    let executed = executed_run(graph, factory.spawn(graph, start, &cfg), cap);
+    assert_eq!(executed, typed, "{name}: skipping changed the outcome");
 }

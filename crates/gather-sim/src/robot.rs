@@ -307,6 +307,12 @@ pub trait Robot {
     /// executing it. The robots' announcements and positions repeat, so
     /// each inbox and observation does too, and the outcome is the one the
     /// executed rounds would have produced.
+    ///
+    /// Among the built-in algorithms, Undispersed-Gathering promises its
+    /// Phase 1 waits and UXS-Gathering the waits of its label-bit schedule
+    /// (a settled follower promises an unbounded window); Faster-Gathering
+    /// forwards both from its embedded copies. Hop-meeting and the
+    /// expanding baseline keep the default.
     fn idle_rounds(&self) -> u64 {
         0
     }
